@@ -1,6 +1,7 @@
 //! Criterion microbench: k-d tree construction and bound computation.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use tkdc_common::Rng;
 use tkdc_data::{DatasetKind, DatasetSpec};
 use tkdc_index::{KdTree, SplitRule};
 
@@ -34,13 +35,24 @@ fn bench_dist_bounds(c: &mut Criterion) {
     .unwrap();
     let tree = KdTree::build(&data, 32, SplitRule::TrimmedMidpoint).unwrap();
     let inv_h = vec![2.0; 8];
-    let q = vec![0.25; 8];
+    // A fresh N(0,1) query per node, as a batch of traversals would see.
+    // One fixed query lets branch history predict every per-axis
+    // inside/outside outcome and hides the cost of a branchy box walk.
+    let mut rng = Rng::seed_from(4);
+    let queries: Vec<Vec<f64>> = (0..251)
+        .map(|_| (0..8).map(|_| rng.standard_normal()).collect())
+        .collect();
+    // The query index carries across iterations, so no node sees the
+    // same query sequence twice in a row.
+    let mut next = 0usize;
     c.bench_function("kdtree_dist_bounds_d8", |b| {
         b.iter(|| {
             // Touch a spread of nodes, as a traversal would.
             let mut acc = 0.0;
             for id in (0..tree.node_count() as u32).step_by(37) {
-                let (lo, hi) = tree.scaled_sq_dist_bounds(id, black_box(&q), &inv_h);
+                let q = &queries[next % queries.len()];
+                next += 1;
+                let (lo, hi) = tree.scaled_sq_dist_bounds(id, black_box(q), &inv_h);
                 acc += lo + hi;
             }
             black_box(acc)

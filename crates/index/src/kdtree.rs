@@ -495,14 +495,16 @@ impl KdTree {
 
     /// Scaled squared distance bounds `(u_min, u_max)` from `x` to the
     /// bounding box of node `id` (Eq. 6's distance vectors).
+    ///
+    /// This is the hot layer of `BoundDensity` at d ≥ 8, not the leaf
+    /// sum: a held-out d = 8 query costs 573 bound evaluations against
+    /// 131 kernel evaluations (`kernel.share` 0.036), and the bootstrap
+    /// runs tens of millions of them. Hence one fused, branch-free pass
+    /// over the box ([`bbox::scaled_sq_dist_bounds`]), bit-identical to
+    /// the two single-sided distances.
     #[inline]
     pub fn scaled_sq_dist_bounds(&self, id: u32, x: &[f64], inv_h: &[f64]) -> (f64, f64) {
-        let lo = self.box_lo(id);
-        let hi = self.box_hi(id);
-        (
-            bbox::min_scaled_sq_dist(x, lo, hi, inv_h),
-            bbox::max_scaled_sq_dist(x, lo, hi, inv_h),
-        )
+        bbox::scaled_sq_dist_bounds(x, self.box_lo(id), self.box_hi(id), inv_h)
     }
 
     /// Contiguous row-major coordinate block of the points under node

@@ -50,6 +50,10 @@ pub const PROTOCOL_VERSION: u8 = 2;
 /// never drive an enormous allocation (64 MiB ≈ 4M 2-d query points).
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
+/// Initial buffer reserved for a frame body before any of it arrives;
+/// larger bodies grow the buffer as their bytes are read.
+const FRAME_CHUNK_BYTES: usize = 64 * 1024;
+
 /// Request opcodes.
 const OP_PING: u8 = 0;
 const OP_CLASSIFY: u8 = 1;
@@ -360,8 +364,15 @@ fn read_frame(r: &mut impl Read) -> Result<Option<(u8, u8, Vec<u8>)>> {
             "frame of {body_len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
         )));
     }
-    let mut body = vec![0u8; body_len as usize]; // CAST: bounded by MAX_FRAME_BYTES
-    r.read_exact(&mut body)?;
+    // Allocation follows the bytes that actually arrive: a length
+    // prefix alone reserves at most FRAME_CHUNK_BYTES, and the buffer
+    // only grows as the body is read.
+    let claimed = body_len as usize; // CAST: bounded by MAX_FRAME_BYTES
+    let mut body = Vec::with_capacity(claimed.min(FRAME_CHUNK_BYTES));
+    r.take(u64::from(body_len)).read_to_end(&mut body)?;
+    if body.len() < claimed {
+        return Err(protocol_error("connection closed mid-frame"));
+    }
     let version = body[0];
     let tag = body[1];
     body.drain(..2);
@@ -807,6 +818,24 @@ mod tests {
         // Full length prefix, missing body.
         let mut buf = Vec::new();
         put_u32(&mut buf, 10);
+        assert!(read_request(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn huge_length_prefix_with_short_body_is_a_named_error() {
+        // A 64 MiB claim backed by 10 bytes and EOF fails with the named
+        // mid-frame protocol error.
+        let mut buf = Vec::new();
+        put_u32(&mut buf, MAX_FRAME_BYTES);
+        buf.push(PROTOCOL_VERSION);
+        buf.push(OP_CLASSIFY);
+        buf.extend_from_slice(&[0u8; 8]);
+        match read_frame(&mut buf.as_slice()) {
+            Err(Error::Protocol { message }) => {
+                assert!(message.contains("connection closed mid-frame"), "{message}");
+            }
+            other => panic!("expected a mid-frame protocol error, got {other:?}"),
+        }
         assert!(read_request(&mut buf.as_slice()).is_err());
     }
 

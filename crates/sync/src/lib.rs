@@ -20,9 +20,11 @@
 //!   AtomicU64, AtomicUsize}`, `thread::{spawn, scope, sleep,
 //!   yield_now, JoinHandle, Scope, ScopedJoinHandle}`.
 //! * **Never swapped**: `Arc`, `OnceLock`, `atomic::Ordering`,
-//!   `thread::available_parallelism` — these carry no interleaving
-//!   decisions the checker needs to control (`Arc`'s refcounting is
-//!   sound by construction; `OnceLock` is used for test fixtures).
+//!   `thread::available_parallelism`, `mpsc` — these carry no
+//!   interleaving decisions the checker needs to control (`Arc`'s
+//!   refcounting is sound by construction; `OnceLock` is used for test
+//!   fixtures; `mpsc` only orders steps of wall-clock tests, never a
+//!   model-checked harness).
 //! * **Model-check only**: the [`check`] module (re-exported checker
 //!   API: `model`, `Builder`, `Report`, `Violation`, `RaceCell`) exists
 //!   only under `cfg(tkdc_model_check)`.
@@ -38,6 +40,11 @@
 #[cfg(not(tkdc_model_check))]
 mod facade {
     pub use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+
+    /// Channels (`std::sync::mpsc` subset).
+    pub mod mpsc {
+        pub use std::sync::mpsc::channel;
+    }
 
     /// Atomic types and orderings (`std::sync::atomic` subset).
     pub mod atomic {
@@ -58,6 +65,11 @@ mod facade {
 mod facade {
     pub use loom::sync::{Condvar, Mutex, MutexGuard};
     pub use std::sync::{Arc, LockResult, OnceLock, PoisonError, Weak};
+
+    /// Channels stay `std`: no harness sends over one.
+    pub mod mpsc {
+        pub use std::sync::mpsc::channel;
+    }
 
     /// Instrumented atomics (orderings stay the `std` enum).
     pub mod atomic {

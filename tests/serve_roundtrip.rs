@@ -419,7 +419,10 @@ fn shutdown_drains_and_new_work_is_refused() {
 
     // A parked second connection must be released by the drain (it gets
     // a ShuttingDown frame within one read-timeout tick) rather than
-    // blocking shutdown forever.
+    // blocking shutdown forever. It reports its pong over `ready`, and
+    // Shutdown is sent only after that: otherwise the drain can start
+    // before the parked thread has connected, and its connect fails.
+    let (ready_tx, ready_rx) = tkdc_sync::mpsc::channel();
     let parked = tkdc_sync::thread::spawn({
         let addr = addr.clone();
         move || {
@@ -434,6 +437,7 @@ fn shutdown_drains_and_new_work_is_refused() {
                 read_response(&mut stream).unwrap(),
                 Some(Response::Pong { nonce: 1 })
             ));
+            ready_tx.send(()).unwrap();
             matches!(
                 read_response(&mut stream).unwrap_or(None),
                 None | Some(Response::Error {
@@ -447,6 +451,9 @@ fn shutdown_drains_and_new_work_is_refused() {
     let mut client = Client::connect_with_timeout(&addr, timeout).unwrap();
     let labels = client.classify(&queries).unwrap();
     assert_eq!(labels.len(), 32);
+    ready_rx
+        .recv_timeout(timeout)
+        .expect("parked connection never got its pong");
     client.shutdown().unwrap();
     handle.join().unwrap();
     assert!(
