@@ -6,6 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use tkdc::{Classifier, ExecPolicy, Params};
 use tkdc_common::Rng;
 use tkdc_data::{DatasetKind, DatasetSpec};
+use tkdc_sync::Arc;
 
 fn bench_parallel_batch(c: &mut Criterion) {
     let data = DatasetSpec {
@@ -19,7 +20,9 @@ fn bench_parallel_batch(c: &mut Criterion) {
     .unwrap();
     let clf = Classifier::fit(&data, &Params::default().with_seed(2)).unwrap();
     let mut rng = Rng::seed_from(3);
-    let queries = data.sample_rows(4096, &mut rng);
+    // Shared once, so each timed batch hands the pool an `Arc` clone
+    // rather than a copy of the queries.
+    let queries = Arc::new(data.sample_rows(4096, &mut rng));
 
     let mut group = c.benchmark_group("parallel_batch_4096_queries");
     group.sample_size(10);
@@ -27,7 +30,7 @@ fn bench_parallel_batch(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
             b.iter(|| {
                 black_box(
-                    clf.classify_batch_with(&queries, ExecPolicy::with_threads(t))
+                    clf.classify_batch_shared(Arc::clone(&queries), ExecPolicy::with_threads(t))
                         .unwrap()
                         .0
                         .len(),

@@ -9,23 +9,24 @@
 //!     [--repeats R] [--seed S] [--gate] [--out BENCH_batch.json]
 //! ```
 //!
-//! Schema `tkdc-bench-batch/v2`. Per dataset:
-//! * `parallel`: each thread count measured twice — through the
-//!   classifier's **persistent pool** (`ExecPolicy::Parallel`, workers
-//!   parked between batches) and through **per-batch scoped spawn**
-//!   (`ExecPolicy::ScopedSpawn`). `pool_vs_spawn` > 1 means the pool's
-//!   reuse beats respawning; every wall figure is the best of
-//!   `--repeats` runs so the pool's one-time spawn cost lands in the
-//!   warmup, which is exactly the serve steady state.
+//! Schema `tkdc-bench-batch/v3`. Per dataset:
+//! * `parallel`: each thread count measured through the classifier's
+//!   **persistent pool** (`ExecPolicy::Parallel`, workers parked
+//!   between batches). Every wall figure is the best of `--repeats`
+//!   runs so the pool's one-time spawn cost lands in the warmup, which
+//!   is exactly the serve steady state.
 //! * `leaf_sum`: SoA-vs-row-major leaf ablation — the same query
 //!   sample summed over every tree leaf with `Kernel::sum_block`
 //!   (row-major) and `Kernel::sum_block_soa` (dimension-major), with a
 //!   checksum cross-check.
 //! * `skewed` (gauss_d2 only): a worst-case batch whose expensive
-//!   near-threshold queries sit in one contiguous block, comparing the
-//!   static-chunked scheduler against work stealing — the workload
-//!   static chunking loses on by design. `--gate` turns
-//!   "stealing ≥ 0.95× static" into a hard exit code for CI.
+//!   near-threshold queries sit in one contiguous block — the workload
+//!   a static split loses on by design — timed on the pool against the
+//!   same queries in a seeded shuffled order, where every participant's
+//!   range holds its share of the hard queries. Same work on the same
+//!   scheduler, so the two only match while stealing rebalances the
+//!   contiguous block. `--gate` turns "contiguous ≥ 0.95× shuffled"
+//!   into a hard exit code for CI.
 //!
 //! All numbers are wall-clock on whatever machine runs the binary;
 //! `threads_available` is recorded and `degraded` is set (with a loud
@@ -71,19 +72,14 @@ struct ThreadPoint {
     pool_wall_s: f64,
     pool_qps: f64,
     pool_speedup: f64,
-    /// Per-batch scoped spawn (`ExecPolicy::ScopedSpawn`): the old
-    /// scheduler, kept as the ablation baseline.
-    spawn_wall_s: f64,
-    spawn_qps: f64,
-    spawn_speedup: f64,
-    /// spawn_wall / pool_wall: > 1 means pool reuse pays.
-    pool_vs_spawn: f64,
 }
 
 struct SkewPoint {
     threads: usize,
-    static_qps: f64,
-    stealing_qps: f64,
+    /// The hard queries in one contiguous block.
+    contiguous_qps: f64,
+    /// The same queries in a seeded shuffled order.
+    shuffled_qps: f64,
 }
 
 struct LeafSumAblation {
@@ -120,14 +116,21 @@ struct DatasetReport {
     skewed: Option<(usize, Vec<SkewPoint>)>,
 }
 
-/// A worst case for static chunking: the first eighth of the batch is
+/// A worst case for a static split: the first half of the batch is
 /// near-threshold (expensive, every pruning rule fails until deep in the
 /// tree) and contiguous, the rest is far-tail (one node expansion). For a
 /// 2-d standard gaussian KDE the density at radius `r` is about
 /// `exp(-r²/2)/2π`, so the threshold circle sits at `r² = -2·ln(2π·t)`.
+///
+/// Half, not less: a pool participant's first pop takes a quarter of its
+/// own range, and a popped chunk cannot be stolen. With a hard block of
+/// at least a quarter of the batch no single chunk holds more than its
+/// popper's fair share of the hard work, so the contiguous order can
+/// match the shuffled one exactly when stealing rebalances. A smaller
+/// block would be swallowed by one unstealable first pop.
 fn skewed_queries(threshold: f64, total: usize, seed: u64) -> (Matrix, usize) {
     let mut m = Matrix::with_cols(2);
-    let hard = (total / 8).max(1);
+    let hard = (total / 2).max(1);
     let r_sq = (-2.0 * (2.0 * std::f64::consts::PI * threshold).ln()).max(0.25);
     let r = r_sq.sqrt();
     let mut rng = Rng::seed_from(seed ^ 0x5EED);
@@ -219,7 +222,7 @@ fn measure_dataset(data: &Matrix, cfg: &MeasureCfg<'_>) -> DatasetReport {
     let query_set = Arc::new(data.sample_rows(q, &mut rng));
 
     let ((_, serial_stats), serial_wall) = bench_runs(cfg.repeats, || {
-        clf.classify_batch_with(&query_set, ExecPolicy::Serial)
+        clf.classify_batch_shared(Arc::clone(&query_set), ExecPolicy::Serial)
             .expect("classify") // INVARIANT: bench tooling fails fast
     });
     let serial_qps = q as f64 / serial_wall.max(1e-12);
@@ -232,24 +235,11 @@ fn measure_dataset(data: &Matrix, cfg: &MeasureCfg<'_>) -> DatasetReport {
                 clf.classify_batch_shared(Arc::clone(&query_set), ExecPolicy::with_threads(threads))
                     .expect("classify") // INVARIANT: bench tooling fails fast
             });
-            let (_, spawn_wall_s) = bench_runs(cfg.repeats, || {
-                clf.classify_batch_with(
-                    &query_set,
-                    ExecPolicy::ScopedSpawn {
-                        threads: Some(threads),
-                    },
-                )
-                .expect("classify") // INVARIANT: bench tooling fails fast
-            });
             ThreadPoint {
                 threads,
                 pool_wall_s,
                 pool_qps: q as f64 / pool_wall_s.max(1e-12),
                 pool_speedup: serial_wall / pool_wall_s.max(1e-12),
-                spawn_wall_s,
-                spawn_qps: q as f64 / spawn_wall_s.max(1e-12),
-                spawn_speedup: serial_wall / spawn_wall_s.max(1e-12),
-                pool_vs_spawn: spawn_wall_s / pool_wall_s.max(1e-12),
             }
         })
         .collect();
@@ -258,32 +248,37 @@ fn measure_dataset(data: &Matrix, cfg: &MeasureCfg<'_>) -> DatasetReport {
 
     let skewed = cfg.with_skew.then(|| {
         let (skew_set, _hard) = skewed_queries(clf.threshold(), q, cfg.seed);
+        // A seeded permutation of the same rows spreads the hard block
+        // evenly over every participant's share of the split.
+        let shuffled = Arc::new(skew_set.sample_rows(q, &mut Rng::seed_from(cfg.seed ^ 0x5407)));
         let skew_set = Arc::new(skew_set);
         let points = cfg
             .threads_list
             .iter()
             .filter(|&&t| t > 1)
             .map(|&threads| {
-                let (_, static_wall) = bench_runs(cfg.repeats, || {
-                    clf.classify_batch_with(
-                        &skew_set,
-                        ExecPolicy::StaticChunked {
-                            threads: Some(threads),
-                        },
-                    )
-                    .expect("classify") // INVARIANT: bench tooling fails fast
-                });
-                let (_, steal_wall) = bench_runs(cfg.repeats, || {
-                    clf.classify_batch_shared(
-                        Arc::clone(&skew_set),
-                        ExecPolicy::with_threads(threads),
-                    )
-                    .expect("classify") // INVARIANT: bench tooling fails fast
-                });
+                let run = |set: &Arc<Matrix>| {
+                    time(|| {
+                        clf.classify_batch_shared(
+                            Arc::clone(set),
+                            ExecPolicy::with_threads(threads),
+                        )
+                        .expect("classify") // INVARIANT: bench tooling fails fast
+                    })
+                    .1
+                    .as_secs_f64()
+                };
+                // Alternate the two orders, best of `repeats` each, so
+                // drift on a shared host lands on both sides alike.
+                let (mut contiguous_wall, mut shuffled_wall) = (f64::INFINITY, f64::INFINITY);
+                for _ in 0..cfg.repeats {
+                    contiguous_wall = contiguous_wall.min(run(&skew_set));
+                    shuffled_wall = shuffled_wall.min(run(&shuffled));
+                }
                 SkewPoint {
                     threads,
-                    static_qps: q as f64 / static_wall.max(1e-12),
-                    stealing_qps: q as f64 / steal_wall.max(1e-12),
+                    contiguous_qps: q as f64 / contiguous_wall.max(1e-12),
+                    shuffled_qps: q as f64 / shuffled_wall.max(1e-12),
                 }
             })
             .collect();
@@ -318,7 +313,7 @@ fn render_json(
 ) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"tkdc-bench-batch/v2\",");
+    let _ = writeln!(s, "  \"schema\": \"tkdc-bench-batch/v3\",");
     let _ = writeln!(s, "  \"threads_available\": {threads_available},");
     let _ = writeln!(s, "  \"degraded\": {degraded},");
     let _ = writeln!(s, "  \"scale\": {},", jf(scale));
@@ -350,16 +345,11 @@ fn render_json(
             let _ = writeln!(
                 s,
                 "        {{\"threads\": {}, \"pool_wall_s\": {}, \"pool_qps\": {}, \
-                 \"pool_speedup\": {}, \"spawn_wall_s\": {}, \"spawn_qps\": {}, \
-                 \"spawn_speedup\": {}, \"pool_vs_spawn\": {}}}{comma}",
+                 \"pool_speedup\": {}}}{comma}",
                 p.threads,
                 jf(p.pool_wall_s),
                 jf(p.pool_qps),
-                jf(p.pool_speedup),
-                jf(p.spawn_wall_s),
-                jf(p.spawn_qps),
-                jf(p.spawn_speedup),
-                jf(p.pool_vs_spawn)
+                jf(p.pool_speedup)
             );
         }
         s.push_str("      ],\n");
@@ -380,18 +370,18 @@ fn render_json(
         if let Some((skew_q, points)) = &r.skewed {
             s.push_str(",\n      \"skewed\": {\n");
             let _ = writeln!(s, "        \"queries\": {skew_q},");
-            let _ = writeln!(s, "        \"hard_fraction\": 0.125,");
+            let _ = writeln!(s, "        \"hard_fraction\": 0.5,");
             s.push_str("        \"per_threads\": [\n");
             for (i, p) in points.iter().enumerate() {
                 let comma = if i + 1 < points.len() { "," } else { "" };
                 let _ = writeln!(
                     s,
-                    "          {{\"threads\": {}, \"static_qps\": {}, \"stealing_qps\": {}, \
-                     \"stealing_vs_static\": {}}}{comma}",
+                    "          {{\"threads\": {}, \"contiguous_qps\": {}, \"shuffled_qps\": {}, \
+                     \"contiguous_vs_shuffled\": {}}}{comma}",
                     p.threads,
-                    jf(p.static_qps),
-                    jf(p.stealing_qps),
-                    jf(p.stealing_qps / p.static_qps.max(1e-12))
+                    jf(p.contiguous_qps),
+                    jf(p.shuffled_qps),
+                    jf(p.contiguous_qps / p.shuffled_qps.max(1e-12))
                 );
             }
             s.push_str("        ]\n      }\n");
@@ -403,10 +393,12 @@ fn render_json(
     s
 }
 
-/// `--gate`: work stealing must hold ≥ 0.95× static chunking on the
-/// skewed workload at every thread count (satellite gate for the CI
-/// bench-smoke job). Returns false — after printing every failing
-/// point — when the bar is missed.
+/// `--gate`: the pool on the contiguous hard block must hold ≥ 0.95×
+/// the pool on the shuffled order at every thread count (the CI
+/// bench-smoke gate). Without stealing, the participant whose range
+/// holds the block does all the hard work alone, so the bar fails.
+/// Returns false — after printing every failing point — when the bar
+/// is missed.
 fn stealing_gate(reports: &[DatasetReport]) -> bool {
     let mut ok = true;
     for r in reports {
@@ -414,12 +406,12 @@ fn stealing_gate(reports: &[DatasetReport]) -> bool {
             continue;
         };
         for p in points {
-            let ratio = p.stealing_qps / p.static_qps.max(1e-12);
+            let ratio = p.contiguous_qps / p.shuffled_qps.max(1e-12);
             if ratio < 0.95 {
                 eprintln!(
-                    "GATE FAIL {}: threads={} stealing {:.0} q/s < 0.95 x static {:.0} q/s \
+                    "GATE FAIL {}: threads={} contiguous {:.0} q/s < 0.95 x shuffled {:.0} q/s \
                      (ratio {:.3})",
-                    r.name, p.threads, p.stealing_qps, p.static_qps, ratio
+                    r.name, p.threads, p.contiguous_qps, p.shuffled_qps, ratio
                 );
                 ok = false;
             }
@@ -559,9 +551,20 @@ fn main() {
         );
         for p in &r.parallel {
             eprintln!(
-                "  threads={}: pool {:.0} q/s ({:.2}x), spawn {:.0} q/s ({:.2}x), pool/spawn {:.2}x",
-                p.threads, p.pool_qps, p.pool_speedup, p.spawn_qps, p.spawn_speedup, p.pool_vs_spawn
+                "  threads={}: pool {:.0} q/s ({:.2}x)",
+                p.threads, p.pool_qps, p.pool_speedup
             );
+        }
+        if let Some((_, points)) = &r.skewed {
+            for p in points {
+                eprintln!(
+                    "  skewed threads={}: contiguous {:.0} q/s, shuffled {:.0} q/s ({:.2}x)",
+                    p.threads,
+                    p.contiguous_qps,
+                    p.shuffled_qps,
+                    p.contiguous_qps / p.shuffled_qps.max(1e-12)
+                );
+            }
         }
         eprintln!(
             "  leaf_sum: {} leaves / {} rows, row-major {:.2} ns/row, soa {:.2} ns/row ({:.2}x)",
@@ -576,7 +579,7 @@ fn main() {
 
     if args.has("gate") {
         if stealing_gate(&reports) {
-            eprintln!("gate: ok (stealing >= 0.95x static on every skewed point)");
+            eprintln!("gate: ok (contiguous >= 0.95x shuffled on every skewed point)");
         } else {
             std::process::exit(1);
         }

@@ -30,6 +30,7 @@ use tkdc::{BackendSpec, Classifier, ExecPolicy, HbeParams, Label, Params, RffPar
 use tkdc_bench::{time, BenchArgs};
 use tkdc_common::{Matrix, Rng};
 use tkdc_data::{DatasetKind, DatasetSpec};
+use tkdc_sync::Arc;
 
 /// JSON float: non-finite values have no JSON literal, emit null.
 fn jf(v: f64) -> String {
@@ -97,7 +98,7 @@ fn measure(
     // Same query-sampling stream as bench.rs, so a tree row here and a
     // BENCH_batch.json row at the same config describe the same run.
     let mut rng = Rng::seed_from(seed ^ 0x9E37);
-    let query_set = data.sample_rows(q, &mut rng);
+    let query_set = Arc::new(data.sample_rows(q, &mut rng));
 
     let specs: [(&'static str, BackendSpec); 3] = [
         ("tree", BackendSpec::Tree),
@@ -112,7 +113,7 @@ fn measure(
         // INVARIANT: bench tooling fails fast
         let (clf, fit_t) = time(|| Classifier::fit(data, &params).expect("fit"));
         let ((labels, _), wall) = bench_runs(repeats, || {
-            clf.classify_batch_with(&query_set, ExecPolicy::Serial)
+            clf.classify_batch_shared(Arc::clone(&query_set), ExecPolicy::Serial)
                 .expect("classify") // INVARIANT: bench tooling fails fast
         });
         let qps = q as f64 / wall.max(1e-12);

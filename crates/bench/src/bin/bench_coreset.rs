@@ -29,6 +29,7 @@ use tkdc_bench::{time, BenchArgs};
 use tkdc_common::{Matrix, Rng};
 use tkdc_coreset::{target_size, CompactorKind, CoresetConfig, StreamingCoreset};
 use tkdc_data::gauss;
+use tkdc_sync::Arc;
 
 /// JSON float: non-finite values have no JSON literal, emit null.
 fn jf(v: f64) -> String {
@@ -112,14 +113,17 @@ fn main() {
         .expect("coreset fit") // INVARIANT: bench tooling fails fast
     });
 
+    // Shared once, so the timed batches hand the pool an `Arc` clone
+    // rather than a copy of the queries.
+    let queries = Arc::new(queries);
     let ((full_labels, _), full_cls_t) = time(|| {
-        full.classify_batch_with(&queries, policy)
+        full.classify_batch_shared(Arc::clone(&queries), policy)
             // INVARIANT: bench tooling fails fast
             .expect("full classify")
     });
     let ((core_labels, _), core_cls_t) = time(|| {
         compact_clf
-            .classify_batch_with(&queries, policy)
+            .classify_batch_shared(Arc::clone(&queries), policy)
             .expect("coreset classify") // INVARIANT: bench tooling fails fast
     });
 

@@ -480,15 +480,16 @@ fn classify(args: &[String]) -> Result<()> {
     let queries = load_input(&flags)?;
     let policy = ExecPolicy::with_threads(flags.threads()?);
     let spans = spans_for(&flags);
+    // Owned queries ride into the pool job without a copy.
+    let queries = tkdc_sync::Arc::new(queries);
     let (labels, stats) = match flags.get("trace-out") {
         Some(path) => {
             let (labels, stats, traces) =
-                clf.classify_batch_traced_spanned(&queries, policy, flags.trace_every()?, &spans)?;
+                clf.classify_batch_traced_spanned(queries, policy, flags.trace_every()?, &spans)?;
             write_trace_file(path, &traces)?;
             (labels, stats)
         }
-        // Owned queries ride into the pool job without a copy.
-        None => clf.classify_batch_shared_spanned(tkdc_sync::Arc::new(queries), policy, &spans)?,
+        None => clf.classify_batch_shared_spanned(queries, policy, &spans)?,
     };
     maybe_write_spans(&flags, &spans)?;
     emit(
@@ -520,18 +521,17 @@ fn density(args: &[String]) -> Result<()> {
     let n_queries = queries.rows();
     let policy = ExecPolicy::with_threads(flags.threads()?);
     let spans = spans_for(&flags);
+    let queries = tkdc_sync::Arc::new(queries);
     let (bounds, stats) = match flags.get("trace-out") {
         // The traced density path has no spanned variant; `--span-out`
         // yields an empty trace when combined with `--trace-out`.
         Some(path) => {
             let (bounds, stats, traces) =
-                clf.bound_density_batch_traced(&queries, policy, flags.trace_every()?)?;
+                clf.bound_density_batch_traced(queries, policy, flags.trace_every()?)?;
             write_trace_file(path, &traces)?;
             (bounds, stats)
         }
-        None => {
-            clf.bound_density_batch_shared_spanned(tkdc_sync::Arc::new(queries), policy, &spans)?
-        }
+        None => clf.bound_density_batch_shared_spanned(queries, policy, &spans)?,
     };
     maybe_write_spans(&flags, &spans)?;
     emit(
@@ -556,7 +556,12 @@ fn outliers(args: &[String]) -> Result<()> {
     let data = load_input(&flags)?;
     let spans = spans_for(&flags);
     let clf = fit(&flags, &data, &spans)?;
-    let (labels, _) = clf.classify_batch_with(&data, ExecPolicy::with_threads(flags.threads()?))?;
+    // The fit only borrowed the rows; share them with the pool job.
+    let data = tkdc_sync::Arc::new(data);
+    let (labels, _) = clf.classify_batch_shared(
+        tkdc_sync::Arc::clone(&data),
+        ExecPolicy::with_threads(flags.threads()?),
+    )?;
     maybe_write_spans(&flags, &spans)?;
     let lines = labels
         .iter()
@@ -742,8 +747,12 @@ fn explain(args: &[String]) -> Result<()> {
     // Serial + sample-every-1 so the single query is always traced;
     // spans always record here so the stage breakdown below is free.
     let spans = Spans::enabled();
-    let (labels, _stats, traces) =
-        clf.classify_batch_traced_spanned(&queries, ExecPolicy::Serial, 1, &spans)?;
+    let (labels, _stats, traces) = clf.classify_batch_traced_spanned(
+        tkdc_sync::Arc::new(queries),
+        ExecPolicy::Serial,
+        1,
+        &spans,
+    )?;
     let trace = traces
         .first()
         .ok_or_else(|| usage_error("engine returned no trace for the query"))?;

@@ -32,6 +32,7 @@ pub use tree::TreeBackend;
 use crate::bound::DensityBounds;
 use crate::qstats::QueryScratch;
 use tkdc_kernel::Kernel;
+use tkdc_sync::Arc;
 
 /// Provenance of the density intervals a backend returns.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,25 +125,28 @@ pub trait DensityBackend: Send + Sync {
 
 /// Enum dispatch over the shipped backends. The classifier's model
 /// holds one of these; the enum (rather than a boxed trait object)
-/// keeps the model `Debug` + deep-cloneable and lets the tree path keep
-/// its grid fast path without downcasting.
-#[derive(Debug)]
+/// keeps the model `Debug` and lets the tree path keep its grid fast
+/// path without downcasting. Each backend sits behind an `Arc`, so a
+/// clone is cheap and can ride into the pool's `'static` jobs — the
+/// fit's training-density pass runs on the same backend the model then
+/// keeps.
+#[derive(Debug, Clone)]
 pub(crate) enum BackendImpl {
     /// Certified dual-tree traversal.
-    Tree(TreeBackend),
+    Tree(Arc<TreeBackend>),
     /// Hashing-based estimator.
-    Hbe(HbeBackend),
+    Hbe(Arc<HbeBackend>),
     /// Random-Fourier-feature estimator.
-    Rff(RffBackend),
+    Rff(Arc<RffBackend>),
 }
 
 impl BackendImpl {
     /// The active backend as the trait object the generic paths use.
     pub(crate) fn as_dyn(&self) -> &dyn DensityBackend {
         match self {
-            BackendImpl::Tree(b) => b,
-            BackendImpl::Hbe(b) => b,
-            BackendImpl::Rff(b) => b,
+            BackendImpl::Tree(b) => &**b,
+            BackendImpl::Hbe(b) => &**b,
+            BackendImpl::Rff(b) => &**b,
         }
     }
 
@@ -150,7 +154,7 @@ impl BackendImpl {
     /// persistence, LLR diagnostics).
     pub(crate) fn as_tree(&self) -> Option<&TreeBackend> {
         match self {
-            BackendImpl::Tree(b) => Some(b),
+            BackendImpl::Tree(b) => Some(&**b),
             _ => None,
         }
     }

@@ -7,6 +7,7 @@ use crate::params::Optimizations;
 use crate::qstats::QueryScratch;
 use tkdc_index::{BandwidthGrid, KdTree};
 use tkdc_kernel::Kernel;
+use tkdc_sync::Arc;
 
 /// Certified-bounds backend: k-d tree + kernel + optional grid cache.
 ///
@@ -14,10 +15,12 @@ use tkdc_kernel::Kernel;
 /// tree-only optimization — it certifies a density *lower* bound from
 /// same-cell point counts, which only makes sense alongside certified
 /// traversal bounds — so it lives here rather than in the
-/// backend-agnostic classifier core.
+/// backend-agnostic classifier core. The tree is shared by `Arc` so a
+/// fit can hand the bootstrap's final-round tree to the model without
+/// building it twice.
 #[derive(Debug)]
 pub struct TreeBackend {
-    tree: KdTree,
+    tree: Arc<KdTree>,
     kernel: Kernel,
     grid: Option<BandwidthGrid>,
     grid_diag_sq: f64,
@@ -29,7 +32,7 @@ impl TreeBackend {
     /// Assembles the backend from fitted parts. The caller (classifier
     /// fit / model load) has already validated dimensional consistency.
     pub(crate) fn new(
-        tree: KdTree,
+        tree: Arc<KdTree>,
         kernel: Kernel,
         grid: Option<BandwidthGrid>,
         opts: Optimizations,

@@ -14,13 +14,13 @@
 //! gains nothing from threshold pruning — and compute `t̃(p)` from a
 //! direct training-density pass.
 
-use crate::backend::{BackendImpl, BoundKind, HbeBackend, RffBackend, TreeBackend};
-use crate::bound::{DensityBounder, DensityBounds};
-use crate::engine;
+use crate::backend::{BackendImpl, BoundKind, DensityBackend, HbeBackend, RffBackend, TreeBackend};
+use crate::bound::DensityBounds;
+use crate::engine::{Pool, PoolTelemetry};
 use crate::params::{BackendSpec, Params};
 use crate::qstats::{PruneCause, QueryScratch, QueryStats};
 use crate::span::Spans;
-use crate::threshold::{bound_threshold_with, BootstrapReport, ThresholdBounds};
+use crate::threshold::{bootstrap, BootstrapReport, ThresholdBounds};
 #[cfg(feature = "obs")]
 use crate::trace::{QueryTrace, Tracer};
 use tkdc_common::error::{invalid_param, Error, Result};
@@ -50,45 +50,23 @@ pub enum Label {
     Unknown,
 }
 
-/// Execution policy for the unified batch entry points
-/// ([`Classifier::classify_batch_with`] /
-/// [`Classifier::bound_density_batch_with`]) and the fit entry points
-/// ([`Classifier::fit_with`] / [`Classifier::fit_weighted_with`]).
+/// Execution policy for the fit and batch entry points
+/// ([`Classifier::fit_with`], [`Classifier::classify_batch_with`] and
+/// their siblings).
 ///
-/// One policy enum replaces the former quartet of near-duplicate batch
-/// methods; every batch consumer in the workspace (CLI, benchmark
-/// harnesses, the `tkdc-serve` daemon) goes through it. Labels, bounds,
-/// and merged [`QueryStats`] are identical for every policy and thread
-/// count — the policy only chooses *how* the work is scheduled.
+/// Every batch consumer in the workspace (CLI, benchmark harnesses, the
+/// `tkdc-serve` daemon) goes through it. Labels, bounds, thresholds and
+/// merged [`QueryStats`] are identical for every policy and thread count
+/// — the policy only chooses *how many threads* share the work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecPolicy {
     /// Single-threaded, in-order execution on the calling thread
     /// (allocation-free beyond the output vector).
     Serial,
-    /// Work-stealing parallel execution through the [`engine`]
-    /// scheduler. `threads: None` resolves to the machine's available
-    /// parallelism; tiny batches fall back to the serial path.
+    /// Work-stealing parallel execution on the classifier's persistent
+    /// [`Pool`]. `threads: None` resolves to the machine's available
+    /// parallelism; tiny batches run inline on the calling thread.
     Parallel {
-        /// Worker-thread count; `None` = available parallelism.
-        threads: Option<usize>,
-    },
-    /// Parallel execution with *static* contiguous chunking — one equal
-    /// range per thread, claimed up front. Kept only as the
-    /// scheduler-comparison baseline for the `bench` binary: on skewed
-    /// workloads a single chunk absorbs all the near-threshold queries
-    /// while every other core idles. Prefer [`ExecPolicy::Parallel`].
-    StaticChunked {
-        /// Worker-thread count; `None` = available parallelism.
-        threads: Option<usize>,
-    },
-    /// Work-stealing parallel execution with *per-batch scoped threads*
-    /// ([`engine::run_batch`]): spawns and joins `threads` OS threads
-    /// for every batch. This was the pre-pool behaviour of
-    /// [`ExecPolicy::Parallel`]; it is kept as the
-    /// pool-reuse-vs-spawn ablation baseline for the `bench` binary.
-    /// Prefer [`ExecPolicy::Parallel`], which routes through the
-    /// classifier's persistent [`engine::Pool`].
-    ScopedSpawn {
         /// Worker-thread count; `None` = available parallelism.
         threads: Option<usize>,
     },
@@ -119,9 +97,7 @@ impl ExecPolicy {
     pub fn resolved_threads(&self) -> usize {
         match self {
             ExecPolicy::Serial => 1,
-            ExecPolicy::Parallel { threads }
-            | ExecPolicy::StaticChunked { threads }
-            | ExecPolicy::ScopedSpawn { threads } => threads
+            ExecPolicy::Parallel { threads } => threads
                 .unwrap_or_else(|| {
                     tkdc_sync::thread::available_parallelism()
                         .map(|n| n.get())
@@ -171,25 +147,27 @@ struct Model {
 /// The model is immutable after fitting and `Sync`, so batches of queries
 /// can be classified from multiple threads, each with its own
 /// [`QueryScratch`]. The classifier also owns a persistent
-/// work-stealing [`engine::Pool`]: every [`ExecPolicy::Parallel`] batch
-/// reuses the same parked workers instead of spawning threads per batch,
-/// which is what makes small repeated batches (the `tkdc-serve` request
-/// pattern) actually profit from parallelism. The pool spawns lazily —
-/// a classifier that only ever classifies serially never starts a
-/// thread — and drains its workers when the classifier drops.
+/// work-stealing [`Pool`]: the fit creates it and runs its bootstrap and
+/// training-density passes on it, and every later
+/// [`ExecPolicy::Parallel`] batch reuses the same parked workers instead
+/// of spawning threads per batch — which is what makes small repeated
+/// batches (the `tkdc-serve` request pattern) actually profit from
+/// parallelism. The pool spawns lazily — a classifier that only ever
+/// runs serially never starts a thread — and drains its workers when the
+/// classifier drops.
 #[derive(Debug)]
 pub struct Classifier {
     model: Arc<Model>,
-    pool: engine::Pool,
+    pool: Pool,
     fit_report: FitReport,
 }
 
 impl Classifier {
-    /// Wraps a fitted [`Model`] with a fresh (empty) pool.
-    fn from_model(model: Model, fit_report: FitReport) -> Self {
+    /// Wraps a fitted [`Model`] with the pool its fit ran on.
+    fn from_model(model: Model, fit_report: FitReport, pool: Pool) -> Self {
         Self {
             model: Arc::new(model),
-            pool: engine::Pool::new(),
+            pool,
             fit_report,
         }
     }
@@ -205,11 +183,12 @@ impl Classifier {
     /// Trains a classifier under the given execution policy: the
     /// density-heavy phases (the bootstrap's per-round query loops and
     /// the full training-density pass) are work-stolen across the
-    /// policy's resolved thread count. The fitted model — threshold,
-    /// bounds, and merged statistics — is identical to [`Self::fit`] for
-    /// every policy and thread count: per-query work is deterministic,
-    /// results are merged in index order, and the seeded RNG is only
-    /// consumed by (sequential) subset sampling.
+    /// policy's resolved thread count, on the pool the classifier then
+    /// keeps. The fitted model — threshold, bounds, and merged
+    /// statistics — is identical to [`Self::fit`] for every policy and
+    /// thread count: per-query work is deterministic, results are merged
+    /// in index order, and the seeded RNG is only consumed by
+    /// (sequential) subset sampling.
     ///
     /// `params.backend` selects the estimator: [`BackendSpec::Tree`]
     /// (default) runs the paper's bootstrap + certified traversal;
@@ -240,31 +219,40 @@ impl Classifier {
         if data.rows() == 0 {
             return Err(Error::EmptyInput("training data"));
         }
-        match params.backend {
-            BackendSpec::Tree => Self::fit_tree(data, params, policy, spans),
+        let pool = Pool::new();
+        let (model, fit_report) = match params.backend {
+            BackendSpec::Tree => Self::fit_tree(&pool, data, params, policy, spans)?,
             BackendSpec::Hbe(_) | BackendSpec::Rff(_) => {
-                Self::fit_estimated(data, None, 0.0, params, policy.resolved_threads(), spans)
+                Self::fit_estimated(&pool, data, None, 0.0, params, policy, spans)?
             }
-        }
+        };
+        Ok(Self::from_model(model, fit_report, pool))
     }
 
-    /// The tree-backend fit: threshold bootstrap (Algorithm 3), full
-    /// index build, and the pruned training-density pass. Inputs are
-    /// pre-validated by [`Self::fit_with_spans`].
-    fn fit_tree(data: &Matrix, params: &Params, policy: ExecPolicy, spans: &Spans) -> Result<Self> {
-        let n_threads = policy.resolved_threads();
-
-        // Phase 1: probabilistic threshold bounds (Algorithm 3).
-        let (mut bounds, bootstrap) = {
+    /// The tree-backend fit: threshold bootstrap (Algorithm 3), grid
+    /// cache around the bootstrap's full-data index, and the pruned
+    /// training-density pass. Inputs are pre-validated by
+    /// [`Self::fit_with_spans`].
+    fn fit_tree(
+        pool: &Pool,
+        data: &Matrix,
+        params: &Params,
+        policy: ExecPolicy,
+        spans: &Spans,
+    ) -> Result<(Model, FitReport)> {
+        // Phase 1: probabilistic threshold bounds (Algorithm 3). Its
+        // final round trains on all of `data` with the model's leaf
+        // size, split rule and bandwidth, so its tree and kernel are the
+        // model's index and kernel.
+        let boot = {
             let _span = spans.enter("fit.bootstrap");
-            bound_threshold_with(data, params, policy)?
+            bootstrap(pool, data, params, policy)?
         };
+        let mut bounds = boot.bounds;
 
-        // Phase 2: full index + kernel.
+        // Phase 2: the model backend around the full index and kernel.
         let build_span = spans.enter("fit.tree_build");
-        let tree = KdTree::build(data, params.leaf_size, params.opts.split_rule())?;
-        let h = scotts_rule(data, params.bandwidth_factor)?;
-        let kernel = Kernel::new(params.kernel, h)?;
+        let kernel = boot.kernel;
         let n = data.rows() as f64;
         let self_contrib = kernel.max_value() / n;
 
@@ -273,45 +261,52 @@ impl Classifier {
         // built (e.g. coordinates so far from the origin relative to the
         // bandwidth that cell indices overflow), fall back to no grid
         // rather than failing the fit.
-        let (grid, grid_diag_sq) = if params.opts.grid && data.cols() <= MAX_GRID_DIM {
-            match BandwidthGrid::build(data, kernel.bandwidths()) {
-                Ok(g) => {
-                    let diag = g.diag_scaled_sq(kernel.inv_bandwidths());
-                    (Some(g), diag)
-                }
-                Err(_) => (None, 0.0),
-            }
+        let grid = if params.opts.grid && data.cols() <= MAX_GRID_DIM {
+            BandwidthGrid::build(data, kernel.bandwidths()).ok()
         } else {
-            (None, 0.0)
+            None
         };
+        let tb = Arc::new(TreeBackend::new(
+            boot.tree,
+            kernel,
+            grid,
+            params.opts,
+            params.epsilon,
+        ));
         drop(build_span);
         let _threshold_span = spans.enter("fit.threshold");
 
         // Phase 3: density bounds for every training point → t̃(p).
         // If the bootstrap bounds turn out invalid (probability δ), the
         // quantile lands outside them; detect and retry with relaxed
-        // bounds (§3.6).
-        let bounder = DensityBounder::new(&tree, &kernel, params.opts, params.epsilon);
+        // bounds (§3.6). The pass walks the tree's own (reordered) rows:
+        // the quantile does not depend on row order, and values that tie
+        // under `total_cmp` are bit-equal, so t̃ is the input-order
+        // pass's bit for bit.
+        let eps = params.epsilon;
         let mut training_stats = QueryStats::default();
         let mut reestimates = 0usize;
         let threshold = loop {
             let (t_lo, t_hi) = (bounds.lower, bounds.upper);
-            let grid_ref = grid.as_ref();
-            let (mut densities, worker_scratches) =
-                engine::run_batch(data.rows(), n_threads, QueryScratch::new, |i, scratch| {
-                    let x = data.row(i);
+            let b = Arc::clone(&tb);
+            let (mut densities, stats, _) = drive_batch(
+                pool,
+                data.rows(),
+                policy,
+                &Spans::off(),
+                0,
+                move |i, scratch| {
+                    let x = b.tree().point(i);
                     // The grid can certify obvious inliers without traversal;
                     // their exact density is irrelevant to a small-p quantile
                     // as long as the *stored corrected value* stays above the
                     // corrected-space upper bound — hence the −f₀ on the left
                     // of the guard (a raw-space guard could store a value that
                     // sinks below the quantile rank and bias t̃ upward).
-                    if let Some(g) = grid_ref {
+                    if let Some(cell_lower) = b.grid_lower(x) {
                         // The probe computes one density lower bound.
                         scratch.stats.bound_evals += 1;
-                        let cell_lower =
-                            g.cell_count(x) as f64 / n * kernel.eval_scaled_sq(grid_diag_sq);
-                        if cell_lower - self_contrib > t_hi * (1.0 + params.epsilon) {
+                        if cell_lower - self_contrib > t_hi * (1.0 + eps) {
                             scratch.stats.record_outcome(PruneCause::Grid);
                             return Ok(cell_lower - self_contrib);
                         }
@@ -319,13 +314,11 @@ impl Classifier {
                     // Bounds live in corrected space; BoundDensity prunes raw
                     // densities, so shift by f₀ (see threshold.rs for the
                     // failure mode this prevents).
-                    let b =
-                        bounder.bound_density(x, t_lo + self_contrib, t_hi + self_contrib, scratch);
-                    Ok((b.midpoint() - self_contrib).max(0.0))
-                })?;
-            for s in &worker_scratches {
-                training_stats.merge(&s.stats);
-            }
+                    let bd = b.bound_density(x, t_lo + self_contrib, t_hi + self_contrib, scratch);
+                    Ok((bd.midpoint() - self_contrib).max(0.0))
+                },
+            )?;
+            training_stats.merge(&stats);
             let t = quantile_in_place(&mut densities, params.p)?;
             // Valid when t̃ falls inside the (slightly widened) bounds.
             let lo_ok = t >= bounds.lower * (1.0 - params.epsilon) - f64::MIN_POSITIVE;
@@ -351,26 +344,17 @@ impl Classifier {
         let fit_report = FitReport {
             threshold_bounds: bounds,
             threshold,
-            bootstrap,
+            bootstrap: boot.report,
             training_stats,
             threshold_reestimates: reestimates,
         };
-
-        Ok(Self::from_model(
-            Model {
-                params: params.clone(),
-                threshold,
-                coreset_eps: 0.0,
-                backend: BackendImpl::Tree(TreeBackend::new(
-                    tree,
-                    kernel,
-                    grid,
-                    params.opts,
-                    params.epsilon,
-                )),
-            },
-            fit_report,
-        ))
+        let model = Model {
+            params: params.clone(),
+            threshold,
+            coreset_eps: 0.0,
+            backend: BackendImpl::Tree(tb),
+        };
+        Ok((model, fit_report))
     }
 
     /// The estimated-backend fit (HBE / RFF): build the sketch, estimate
@@ -380,14 +364,14 @@ impl Classifier {
     /// fixed-budget estimator, so bootstrap bounds would be dead weight.
     /// Inputs other than the weights are pre-validated by the caller.
     fn fit_estimated(
+        pool: &Pool,
         data: &Matrix,
         weights: Option<&[f64]>,
         coreset_eps: f64,
         params: &Params,
-        n_threads: usize,
+        policy: ExecPolicy,
         spans: &Spans,
-    ) -> Result<Self> {
-        let n_threads = n_threads.max(1);
+    ) -> Result<(Model, FitReport)> {
         if let Some(ws) = weights {
             // The tree path catches bad weights in the weighted tree
             // build; the sketch builds fold weights silently, so check
@@ -414,26 +398,25 @@ impl Classifier {
             }
         };
         let kernel = Kernel::new(params.kernel, h)?;
-        let k0 = kernel.max_value();
 
         let build_span = spans.enter("fit.backend_build");
         let backend = match &params.backend {
-            BackendSpec::Hbe(hp) => BackendImpl::Hbe(HbeBackend::build(
+            BackendSpec::Hbe(hp) => BackendImpl::Hbe(Arc::new(HbeBackend::build(
                 data.clone(),
                 weights.map(|ws| ws.to_vec()),
                 kernel,
                 params.delta,
                 *hp,
                 params.seed,
-            )),
-            BackendSpec::Rff(rp) => BackendImpl::Rff(RffBackend::build(
+            ))),
+            BackendSpec::Rff(rp) => BackendImpl::Rff(Arc::new(RffBackend::build(
                 data,
                 weights,
                 kernel,
                 params.delta,
                 *rp,
                 params.seed,
-            )),
+            ))),
             // fit_with / fit_weighted_with route Tree elsewhere.
             BackendSpec::Tree => {
                 return Err(invalid_param(
@@ -446,50 +429,19 @@ impl Classifier {
         drop(build_span);
         let _threshold_span = spans.enter("fit.threshold");
 
-        // Training densities, corrected by each point's own mass share
-        // w_i·K(0)/W (Eq. 1 generalized to weighted points).
-        let dyn_b = backend.as_dyn();
-        let (mut densities, worker_scratches) =
-            engine::run_batch(data.rows(), n_threads, QueryScratch::new, |i, scratch| {
-                let b = dyn_b.bound_density_relative(data.row(i), params.epsilon, scratch);
-                let self_i = weights.map_or(1.0, |ws| ws[i]) * k0 / w_total;
-                Ok((b.midpoint() - self_i).max(0.0))
-            })?;
-        let mut training_stats = QueryStats::default();
-        for s in &worker_scratches {
-            training_stats.merge(&s.stats);
-        }
-
-        let threshold = match weights {
-            Some(ws) => weighted_quantile(&densities, ws, params.p)?,
-            None => quantile_in_place(&mut densities, params.p)?,
+        // HBE walks the rows it keeps; RFF keeps only a sketch, so its
+        // pass is the one place that copies the training rows.
+        let hbe = match &backend {
+            BackendImpl::Hbe(hb) => Some(Arc::clone(hb)),
+            _ => None,
         };
-
-        // The stored bounds carry the usual ±ε tolerance slack plus the
-        // coreset ε-fold; the per-query probabilistic interval is what
-        // actually certifies (with probability 1 − δ) at classify time.
-        let threshold_bounds = ThresholdBounds {
-            lower: threshold * (1.0 - params.epsilon),
-            upper: threshold * (1.0 + params.epsilon),
+        match hbe {
+            Some(rows) => fit_relative(pool, policy, params, backend, rows, w_total, coreset_eps),
+            None => {
+                let rows = Arc::new((data.clone(), weights.map(<[f64]>::to_vec)));
+                fit_relative(pool, policy, params, backend, rows, w_total, coreset_eps)
+            }
         }
-        .folded(coreset_eps * k0);
-
-        let fit_report = FitReport {
-            threshold_bounds,
-            threshold,
-            bootstrap: BootstrapReport::default(),
-            training_stats,
-            threshold_reestimates: 0,
-        };
-        Ok(Self::from_model(
-            Model {
-                params: params.clone(),
-                threshold,
-                coreset_eps,
-                backend,
-            },
-            fit_report,
-        ))
     }
 
     /// Trains a classifier on a *weighted* dataset — typically a coreset
@@ -573,38 +525,44 @@ impl Classifier {
                 "coreset epsilon must be finite and non-negative, got {coreset_eps}"
             )));
         }
-        match params.backend {
+        let pool = Pool::new();
+        let (model, fit_report) = match params.backend {
             BackendSpec::Tree => {
-                Self::fit_weighted_tree(data, weights, coreset_eps, params, policy, spans)
+                Self::fit_weighted_tree(&pool, data, weights, coreset_eps, params, policy, spans)?
             }
             BackendSpec::Hbe(_) | BackendSpec::Rff(_) => Self::fit_estimated(
+                &pool,
                 data,
                 Some(weights),
                 coreset_eps,
                 params,
-                policy.resolved_threads(),
+                policy,
                 spans,
-            ),
-        }
+            )?,
+        };
+        Ok(Self::from_model(model, fit_report, pool))
     }
 
     /// The tree-backend weighted fit. Inputs are pre-validated by
     /// [`Self::fit_weighted_with_spans`].
     fn fit_weighted_tree(
+        pool: &Pool,
         data: &Matrix,
         weights: &[f64],
         coreset_eps: f64,
         params: &Params,
         policy: ExecPolicy,
         spans: &Spans,
-    ) -> Result<Self> {
-        let n_threads = policy.resolved_threads();
-
+    ) -> Result<(Model, FitReport)> {
         // Weight-aware index: node masses replace point counts in every
         // density bound the traversal computes.
         let build_span = spans.enter("fit.tree_build");
-        let tree =
-            KdTree::build_weighted(data, weights, params.leaf_size, params.opts.split_rule())?;
+        let tree = Arc::new(KdTree::build_weighted(
+            data,
+            weights,
+            params.leaf_size,
+            params.opts.split_rule(),
+        )?);
         let w_total = tree.total_mass();
 
         // Bandwidths from *weighted* column statistics with the effective
@@ -615,65 +573,18 @@ impl Classifier {
         let eff_n = (w_total.round() as usize).max(1); // CAST: total mass is a point count far below 2^53
         let h = scotts_rule_from_stds(&stds, eff_n, params.bandwidth_factor)?;
         let kernel = Kernel::new(params.kernel, h)?;
-        let k0 = kernel.max_value();
+        let backend = BackendImpl::Tree(Arc::new(TreeBackend::new(
+            Arc::clone(&tree),
+            kernel,
+            None,
+            params.opts,
+            params.epsilon,
+        )));
 
         drop(build_span);
         let _threshold_span = spans.enter("fit.threshold");
 
-        // Training densities at relative precision ε — no bootstrap
-        // bounds exist to prune against, and none are needed at coreset
-        // scale. Each point's self-contribution is its own mass share
-        // w_i·K(0)/W (Eq. 1 generalized to weighted points).
-        let bounder = DensityBounder::new(&tree, &kernel, params.opts, params.epsilon);
-        let (densities, worker_scratches) =
-            engine::run_batch(data.rows(), n_threads, QueryScratch::new, |i, scratch| {
-                let b = bounder.bound_density_relative(data.row(i), params.epsilon, scratch);
-                let self_i = weights[i] * k0 / w_total;
-                Ok((b.midpoint() - self_i).max(0.0))
-            })?;
-        let mut training_stats = QueryStats::default();
-        for s in &worker_scratches {
-            training_stats.merge(&s.stats);
-        }
-
-        // Weighted p-quantile: the smallest density d with
-        // Σ{w_i : density_i ≤ d} ≥ p·W. With unit weights this is exactly
-        // the rank-⌈np⌉ order statistic the unweighted fit uses.
-        let threshold = weighted_quantile(&densities, weights, params.p)?;
-
-        // ε-folding: the pass above certifies the *coreset* KDE; the
-        // full-data KDE lives within ±ε_abs of it, so the stored bounds
-        // widen by the absolute coreset error on top of the usual ±ε·t
-        // tolerance slack.
-        let eps_abs = coreset_eps * k0;
-        let threshold_bounds = ThresholdBounds {
-            lower: threshold * (1.0 - params.epsilon),
-            upper: threshold * (1.0 + params.epsilon),
-        }
-        .folded(eps_abs);
-
-        let fit_report = FitReport {
-            threshold_bounds,
-            threshold,
-            bootstrap: BootstrapReport::default(),
-            training_stats,
-            threshold_reestimates: 0,
-        };
-        Ok(Self::from_model(
-            Model {
-                params: params.clone(),
-                threshold,
-                coreset_eps,
-                backend: BackendImpl::Tree(TreeBackend::new(
-                    tree,
-                    kernel,
-                    None,
-                    params.opts,
-                    params.epsilon,
-                )),
-            },
-            fit_report,
-        ))
+        fit_relative(pool, policy, params, backend, tree, w_total, coreset_eps)
     }
 
     /// Reassembles a tree-backend classifier from persisted parts (see
@@ -724,13 +635,13 @@ impl Classifier {
                 });
             }
         }
-        let backend = BackendImpl::Tree(TreeBackend::new(
-            tree,
+        let backend = BackendImpl::Tree(Arc::new(TreeBackend::new(
+            Arc::new(tree),
             kernel,
             grid,
             params.opts,
             params.epsilon,
-        ));
+        )));
         Ok(Self::from_loaded_backend(
             params,
             backend,
@@ -784,14 +695,14 @@ impl Classifier {
             }
         }
         Self::check_loaded_threshold(threshold, coreset_eps)?;
-        let backend = BackendImpl::Hbe(HbeBackend::build(
+        let backend = BackendImpl::Hbe(Arc::new(HbeBackend::build(
             points,
             weights,
             kernel,
             params.delta,
             hp,
             params.seed,
-        ));
+        )));
         Ok(Self::from_loaded_backend(
             params,
             backend,
@@ -847,7 +758,7 @@ impl Classifier {
             ));
         }
         Self::check_loaded_threshold(threshold, coreset_eps)?;
-        let backend = BackendImpl::Rff(RffBackend::from_parts(
+        let backend = BackendImpl::Rff(Arc::new(RffBackend::from_parts(
             kernel,
             params.delta,
             rp,
@@ -855,7 +766,7 @@ impl Classifier {
             coef,
             n,
             total_mass,
-        ));
+        )));
         Ok(Self::from_loaded_backend(
             params,
             backend,
@@ -901,6 +812,7 @@ impl Classifier {
                 backend,
             },
             fit_report,
+            Pool::new(),
         )
     }
 
@@ -972,9 +884,10 @@ impl Classifier {
 
     /// Point-in-time telemetry of the classifier's persistent pool:
     /// per-worker task/steal/park counters and busy/idle time (see
-    /// [`engine::PoolTelemetry`]). Empty worker list until the first
-    /// batch big enough to engage the pool.
-    pub fn pool_telemetry(&self) -> engine::PoolTelemetry {
+    /// [`PoolTelemetry`]). Counts the fit's own density passes too;
+    /// the worker list is empty until the first phase big enough to
+    /// engage the pool.
+    pub fn pool_telemetry(&self) -> PoolTelemetry {
         self.pool.telemetry()
     }
 
@@ -1191,136 +1104,21 @@ impl Classifier {
         self.model.exact_density(x)
     }
 
-    /// Whether a batch of `total` items under `policy` routes through
-    /// the persistent pool (as opposed to running inline or on scoped
-    /// per-batch threads). Only [`ExecPolicy::Parallel`] uses the pool,
-    /// and only when the batch is big enough to engage more than one
-    /// thread.
-    fn uses_pool(policy: ExecPolicy, total: usize) -> bool {
-        let n_threads = policy.resolved_threads();
-        matches!(policy, ExecPolicy::Parallel { .. }) && n_threads > 1 && total >= 2 * n_threads
-    }
-
-    /// Batch core for the policies that can run on *borrowed* closures:
-    /// serial/tiny batches inline, [`ExecPolicy::StaticChunked`] on
-    /// equal chunks, [`ExecPolicy::ScopedSpawn`] on the per-batch
-    /// work-stealing engine. [`ExecPolicy::Parallel`] batches large
-    /// enough for the pool never reach this — they go through
-    /// [`Self::batch_shared`].
-    fn run_borrowed<T: Send>(
-        &self,
-        total: usize,
-        policy: ExecPolicy,
-        work: impl Fn(usize, &mut QueryScratch) -> Result<T> + Sync,
-    ) -> Result<(Vec<T>, QueryStats)> {
-        let n_threads = policy.resolved_threads();
-        // Tiny batches: thread wake/join dwarfs the work — run inline.
-        let serial =
-            matches!(policy, ExecPolicy::Serial) || n_threads == 1 || total < 2 * n_threads;
-        if serial {
-            let mut scratch = QueryScratch::new();
-            let mut out = Vec::with_capacity(total);
-            for i in 0..total {
-                out.push(work(i, &mut scratch)?);
-            }
-            return Ok((out, scratch.stats));
-        }
-        if matches!(policy, ExecPolicy::StaticChunked { .. }) {
-            return self.batch_static(total, n_threads, &work);
-        }
-        let (out, scratches) = engine::run_batch(total, n_threads, QueryScratch::new, work)?;
-        let mut stats = QueryStats::default();
-        for s in &scratches {
-            stats.merge(&s.stats);
-        }
-        Ok((out, stats))
-    }
-
-    /// Pool-backed batch core: runs a `'static` work closure (holding
-    /// `Arc` clones of the model and queries) on the classifier's
-    /// persistent pool. Falls back to [`Self::run_borrowed`] whenever
-    /// the pool would not be engaged, so results, statistics, and the
-    /// serial-inline fast path are identical to the borrowed entry
-    /// points.
-    fn batch_shared<T: Send + 'static>(
-        &self,
-        total: usize,
-        policy: ExecPolicy,
-        work: impl Fn(usize, &mut QueryScratch) -> Result<T> + Send + Sync + 'static,
-    ) -> Result<(Vec<T>, QueryStats)> {
-        if !Self::uses_pool(policy, total) {
-            return self.run_borrowed(total, policy, work);
-        }
-        let n_threads = policy.resolved_threads();
-        let (out, scratches) = self
-            .pool
-            .run_batch(total, n_threads, QueryScratch::new, work)?;
-        let mut stats = QueryStats::default();
-        for s in &scratches {
-            stats.merge(&s.stats);
-        }
-        Ok((out, stats))
-    }
-
-    /// Static-chunked scheduling: `n_threads` equal contiguous ranges
-    /// claimed up front (the [`ExecPolicy::StaticChunked`] baseline).
-    fn batch_static<T: Send>(
-        &self,
-        total: usize,
-        n_threads: usize,
-        work: &(impl Fn(usize, &mut QueryScratch) -> Result<T> + Sync),
-    ) -> Result<(Vec<T>, QueryStats)> {
-        let chunk = total.div_ceil(n_threads);
-        let mut results: Vec<Result<(Vec<T>, QueryStats)>> = Vec::new();
-        tkdc_sync::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n_threads);
-            for tid in 0..n_threads {
-                let start = tid * chunk;
-                let end = ((tid + 1) * chunk).min(total);
-                if start >= end {
-                    break;
-                }
-                handles.push(scope.spawn(move || {
-                    let mut scratch = QueryScratch::new();
-                    let mut seg = Vec::with_capacity(end - start);
-                    for i in start..end {
-                        seg.push(work(i, &mut scratch)?);
-                    }
-                    Ok((seg, scratch.stats))
-                }));
-            }
-            for h in handles {
-                // INVARIANT: re-raising a worker panic is the only sound option here.
-                results.push(h.join().expect("classification thread panicked"));
-            }
-        });
-        let mut out = Vec::with_capacity(total);
-        let mut stats = QueryStats::default();
-        for r in results {
-            let (seg, s) = r?;
-            out.extend(seg);
-            stats.merge(&s);
-        }
-        Ok((out, stats))
-    }
-
     /// Classifies every row of `queries` under the given execution
     /// policy, returning labels in query order plus the aggregated
-    /// traversal statistics. This is the **unified batch entry point**
-    /// used by the CLI, the benchmark harnesses, and the `tkdc-serve`
-    /// daemon; labels and statistics are identical for every policy and
-    /// thread count.
+    /// traversal statistics. Labels and statistics are identical for
+    /// every policy and thread count.
     ///
     /// [`ExecPolicy::Parallel`] batches run on the classifier's
     /// persistent work-stealing pool — parked workers wake, drain the
     /// batch, and park again, so repeated batches pay no thread
-    /// spawn/join. The pool's job closures must be `'static`, which is
-    /// why callers holding their queries in an [`Arc`] should prefer
-    /// [`Self::classify_batch_shared`]: this borrowed entry point has to
-    /// clone the query matrix once per pool-routed batch.
+    /// spawn/join. The pool's job closures must be `'static`, so this
+    /// borrowed entry point copies the query matrix once per batch;
+    /// callers that own their queries should hand them over with
+    /// [`Self::classify_batch_shared`] instead.
     ///
     /// The paper evaluates single-threaded throughput; the parallel
-    /// policies are the "embarrassingly parallel queries" extension
+    /// policy is the "embarrassingly parallel queries" extension
     /// discussed in §6.
     ///
     /// # Errors
@@ -1331,19 +1129,14 @@ impl Classifier {
         queries: &Matrix,
         policy: ExecPolicy,
     ) -> Result<(Vec<Label>, QueryStats)> {
-        if Self::uses_pool(policy, queries.rows()) {
-            return self.classify_batch_shared(Arc::new(queries.clone()), policy);
-        }
-        self.run_borrowed(queries.rows(), policy, |i, scratch| {
-            self.model.classify_with(queries.row(i), scratch)
-        })
+        self.classify_batch_shared(Arc::new(queries.clone()), policy)
     }
 
     /// [`Self::classify_batch_with`] over shared queries: the zero-copy
-    /// entry point for the pool path. The `Arc`s of the model and the
-    /// query matrix ride into the pool's `'static` job closure, so no
-    /// per-batch copy of the queries is made — this is what
-    /// `tkdc-serve` calls per request.
+    /// batch entry point. The `Arc`s of the model and the query matrix
+    /// ride into the pool's `'static` job closure, so no per-batch copy
+    /// of the queries is made — this is what `tkdc-serve` calls per
+    /// request.
     ///
     /// # Errors
     /// Propagates dimension-mismatch and NaN-input errors (the error at
@@ -1353,126 +1146,18 @@ impl Classifier {
         queries: Arc<Matrix>,
         policy: ExecPolicy,
     ) -> Result<(Vec<Label>, QueryStats)> {
-        let total = queries.rows();
-        let model = self.model.clone();
-        self.batch_shared(total, policy, move |i, scratch| {
-            model.classify_with(queries.row(i), scratch)
-        })
+        self.classify_batch_shared_spanned(queries, policy, &Spans::off())
     }
 
-    /// Density bounds ([`Self::bound_density_with`]) for every row of
-    /// `queries` under the given execution policy — the unified batch
-    /// companion of [`Self::classify_batch_with`] for callers that need
-    /// certified bounds rather than labels. Pool routing and the
-    /// clone-per-batch caveat are identical to
-    /// [`Self::classify_batch_with`]; prefer
-    /// [`Self::bound_density_batch_shared`] when the queries already
-    /// live in an [`Arc`].
-    ///
-    /// # Errors
-    /// Propagates dimension-mismatch and NaN-input errors.
-    pub fn bound_density_batch_with(
-        &self,
-        queries: &Matrix,
-        policy: ExecPolicy,
-    ) -> Result<(Vec<DensityBounds>, QueryStats)> {
-        if Self::uses_pool(policy, queries.rows()) {
-            return self.bound_density_batch_shared(Arc::new(queries.clone()), policy);
-        }
-        self.run_borrowed(queries.rows(), policy, |i, scratch| {
-            self.model.bound_density_with(queries.row(i), scratch)
-        })
-    }
-
-    /// [`Self::bound_density_batch_with`] over shared queries — the
-    /// zero-copy pool entry point (see [`Self::classify_batch_shared`]).
-    ///
-    /// # Errors
-    /// Propagates dimension-mismatch and NaN-input errors.
-    pub fn bound_density_batch_shared(
-        &self,
-        queries: Arc<Matrix>,
-        policy: ExecPolicy,
-    ) -> Result<(Vec<DensityBounds>, QueryStats)> {
-        let total = queries.rows();
-        let model = self.model.clone();
-        self.batch_shared(total, policy, move |i, scratch| {
-            model.bound_density_with(queries.row(i), scratch)
-        })
-    }
-
-    /// Spanned batch core: the untraced batch pipeline with
-    /// `classify.*` stage spans recorded on the submitting thread —
-    /// `dispatch` (policy resolution and setup), `traversal` (the whole
-    /// parallel execution), `reassembly` (merging worker outputs) — plus
-    /// one synthetic `classify.leaf_sum` span per worker scratch
-    /// carrying that worker's accumulated leaf kernel-sum time (each on
-    /// its own derived track so per-track enter/exit streams stay
-    /// well-formed).
-    ///
-    /// With an inert handle this *is* [`Self::batch_shared`]. With spans
-    /// on, [`ExecPolicy::StaticChunked`] and [`ExecPolicy::ScopedSpawn`]
-    /// both route through the scoped work-stealing engine (their worker
-    /// scratches are needed for the leaf breakdown); results and merged
-    /// statistics are schedule-invariant, so nothing observable changes.
-    fn batch_shared_spanned<T: Send + 'static>(
-        &self,
-        total: usize,
-        policy: ExecPolicy,
-        spans: &Spans,
-        work: impl Fn(usize, &mut QueryScratch) -> Result<T> + Send + Sync + 'static,
-    ) -> Result<(Vec<T>, QueryStats)> {
-        if !spans.is_enabled() {
-            return self.batch_shared(total, policy, work);
-        }
-        let dispatch_span = spans.enter("classify.dispatch");
-        let n_threads = policy.resolved_threads();
-        let serial =
-            matches!(policy, ExecPolicy::Serial) || n_threads == 1 || total < 2 * n_threads;
-        let use_pool = Self::uses_pool(policy, total);
-        let make_scratch = || {
-            let mut s = QueryScratch::new();
-            s.time_leaves = true;
-            s
-        };
-        drop(dispatch_span);
-
-        let t0 = spans.now_us();
-        let (out, scratches) = {
-            let _traversal = spans.enter("classify.traversal");
-            if serial {
-                let mut scratch = make_scratch();
-                let mut res = Vec::with_capacity(total);
-                for i in 0..total {
-                    res.push(work(i, &mut scratch)?);
-                }
-                (res, vec![scratch])
-            } else if use_pool {
-                self.pool.run_batch(total, n_threads, make_scratch, work)?
-            } else {
-                engine::run_batch(total, n_threads, make_scratch, work)?
-            }
-        };
-
-        let _reassembly = spans.enter("classify.reassembly");
-        let mut stats = QueryStats::default();
-        for (k, s) in scratches.iter().enumerate() {
-            stats.merge(&s.stats);
-            if s.leaf_ns > 0 {
-                // Anchored at traversal start: the leaf time is an
-                // accumulated share of that worker's traversal, not a
-                // contiguous interval.
-                // CAST: worker index is far below u64.
-                let track = leaf_track(spans.submitter_track(), k as u64);
-                spans.record_complete("classify.leaf_sum", track, t0, s.leaf_ns / 1000);
-            }
-        }
-        Ok((out, stats))
-    }
-
-    /// [`Self::classify_batch_shared`] with stage spans (see the private
-    /// `batch_shared_spanned` driver for the span contract). Labels and
-    /// merged statistics are identical to the unspanned entry point.
+    /// [`Self::classify_batch_shared`] with stage spans: `classify.*`
+    /// spans recorded on the submitting thread — `dispatch` (policy
+    /// resolution and setup), `traversal` (the whole execution),
+    /// `reassembly` (merging worker outputs) — plus one synthetic
+    /// `classify.leaf_sum` span per worker scratch carrying that
+    /// worker's accumulated leaf kernel-sum time (each on its own
+    /// derived track so per-track enter/exit streams stay well-formed).
+    /// Labels and merged statistics are identical to the unspanned
+    /// entry point.
     ///
     /// # Errors
     /// Propagates dimension-mismatch and NaN-input errors.
@@ -1482,15 +1167,27 @@ impl Classifier {
         policy: ExecPolicy,
         spans: &Spans,
     ) -> Result<(Vec<Label>, QueryStats)> {
-        let total = queries.rows();
-        let model = self.model.clone();
-        self.batch_shared_spanned(total, policy, spans, move |i, scratch| {
-            model.classify_with(queries.row(i), scratch)
-        })
+        let (labels, stats, _) = self.run(queries, policy, spans, 0, Model::classify_with)?;
+        Ok((labels, stats))
     }
 
-    /// [`Self::bound_density_batch_shared`] with stage spans (same
-    /// contract as [`Self::classify_batch_shared_spanned`]).
+    /// Density bounds ([`Self::bound_density_with`]) for every row of
+    /// `queries` under the given execution policy — the batch companion
+    /// of [`Self::classify_batch_with`] for callers that need certified
+    /// bounds rather than labels (same scheduling and copy contract).
+    ///
+    /// # Errors
+    /// Propagates dimension-mismatch and NaN-input errors.
+    pub fn bound_density_batch_with(
+        &self,
+        queries: &Matrix,
+        policy: ExecPolicy,
+    ) -> Result<(Vec<DensityBounds>, QueryStats)> {
+        self.bound_density_batch_shared_spanned(Arc::new(queries.clone()), policy, &Spans::off())
+    }
+
+    /// Zero-copy density bounds with stage spans (same contract as
+    /// [`Self::classify_batch_shared_spanned`]).
     ///
     /// # Errors
     /// Propagates dimension-mismatch and NaN-input errors.
@@ -1500,136 +1197,278 @@ impl Classifier {
         policy: ExecPolicy,
         spans: &Spans,
     ) -> Result<(Vec<DensityBounds>, QueryStats)> {
-        let total = queries.rows();
-        let model = self.model.clone();
-        self.batch_shared_spanned(total, policy, spans, move |i, scratch| {
-            model.bound_density_with(queries.row(i), scratch)
-        })
+        let (bounds, stats, _) = self.run(queries, policy, spans, 0, Model::bound_density_with)?;
+        Ok((bounds, stats))
     }
 
-    /// Traced variant of [`Self::run_borrowed`]: every worker scratch
-    /// carries a tracer sampling by query index (`every`; `0` disables),
-    /// and the completed traces are merged and sorted by index.
-    ///
-    /// Every parallel policy routes through the scoped work-stealing
-    /// engine here — *not* the pool. Tracing is a diagnostic path where
-    /// per-batch thread spawn is noise against the tracing overhead
-    /// itself, and the borrowed closures keep it allocation-honest;
-    /// traces and merged statistics are schedule-invariant (each trace's
-    /// content depends only on its query), so neither the static-chunk
-    /// nor the pool distinction carries an observable difference.
-    #[cfg(feature = "obs")]
-    fn batch_traced<T: Send>(
-        &self,
-        total: usize,
-        policy: ExecPolicy,
-        every: u64,
-        spans: &Spans,
-        work: impl Fn(usize, &mut QueryScratch) -> Result<T> + Sync,
-    ) -> Result<(Vec<T>, QueryStats, Vec<QueryTrace>)> {
-        let dispatch_span = spans.enter("classify.dispatch");
-        let traced_work = |i: usize, scratch: &mut QueryScratch| {
-            scratch.begin_trace(i as u64); // CAST: batch index widens to u64
-            work(i, scratch)
-        };
-        let time_leaves = spans.is_enabled();
-        let make_scratch = || {
-            let mut s = QueryScratch::new();
-            s.tracer = Tracer::enabled(every);
-            s.time_leaves = time_leaves;
-            s
-        };
-        let n_threads = policy.resolved_threads();
-        let serial =
-            matches!(policy, ExecPolicy::Serial) || n_threads == 1 || total < 2 * n_threads;
-        drop(dispatch_span);
-        let t0 = spans.now_us();
-        let (out, mut scratches) = {
-            let _traversal = spans.enter("classify.traversal");
-            if serial {
-                let mut scratch = make_scratch();
-                let mut res = Vec::with_capacity(total);
-                for i in 0..total {
-                    res.push(traced_work(i, &mut scratch)?);
-                }
-                (res, vec![scratch])
-            } else {
-                engine::run_batch(total, n_threads, make_scratch, traced_work)?
-            }
-        };
-        let _reassembly = spans.enter("classify.reassembly");
-        let mut stats = QueryStats::default();
-        let mut traces = Vec::new();
-        for (k, s) in scratches.iter_mut().enumerate() {
-            stats.merge(&s.stats);
-            traces.extend(s.tracer.take_traces());
-            if s.leaf_ns > 0 {
-                // CAST: worker index is far below u64.
-                let track = leaf_track(spans.submitter_track(), k as u64);
-                spans.record_complete("classify.leaf_sum", track, t0, s.leaf_ns / 1000);
-            }
-        }
-        traces.sort_by_key(|t| t.query);
-        Ok((out, stats, traces))
-    }
-
-    /// [`Self::classify_batch_with`] with per-query tracing: labels and
-    /// merged statistics are identical to the untraced entry point; the
-    /// third element holds one [`QueryTrace`] per sampled query (every
-    /// `every`-th index; `1` = all, `0` = none), sorted by query index
-    /// and therefore identical at every thread count.
-    ///
-    /// # Errors
-    /// Propagates dimension-mismatch and NaN-input errors.
-    #[cfg(feature = "obs")]
-    pub fn classify_batch_traced(
-        &self,
-        queries: &Matrix,
-        policy: ExecPolicy,
-        every: u64,
-    ) -> Result<(Vec<Label>, QueryStats, Vec<QueryTrace>)> {
-        self.classify_batch_traced_spanned(queries, policy, every, &Spans::off())
-    }
-
-    /// [`Self::classify_batch_traced`] with stage spans alongside the
-    /// per-query traces (what `tkdc explain` uses to print both a bound
-    /// trajectory and a stage breakdown from one run).
+    /// [`Self::classify_batch_shared_spanned`] with per-query tracing:
+    /// labels and merged statistics are identical to the untraced entry
+    /// point; the third element holds one [`QueryTrace`] per sampled
+    /// query (every `every`-th index; `1` = all, `0` = none), sorted by
+    /// query index and therefore identical at every thread count. What
+    /// `tkdc explain` uses to print both a bound trajectory and a stage
+    /// breakdown from one run.
     ///
     /// # Errors
     /// Propagates dimension-mismatch and NaN-input errors.
     #[cfg(feature = "obs")]
     pub fn classify_batch_traced_spanned(
         &self,
-        queries: &Matrix,
+        queries: Arc<Matrix>,
         policy: ExecPolicy,
         every: u64,
         spans: &Spans,
     ) -> Result<(Vec<Label>, QueryStats, Vec<QueryTrace>)> {
-        self.batch_traced(queries.rows(), policy, every, spans, |i, scratch| {
-            self.classify_with(queries.row(i), scratch)
-        })
+        self.run(queries, policy, spans, every, Model::classify_with)
     }
 
-    /// [`Self::bound_density_batch_with`] with per-query tracing (see
-    /// [`Self::classify_batch_traced`] for the sampling contract).
+    /// Density bounds with per-query tracing (see
+    /// [`Self::classify_batch_traced_spanned`] for the sampling
+    /// contract).
     ///
     /// # Errors
     /// Propagates dimension-mismatch and NaN-input errors.
     #[cfg(feature = "obs")]
     pub fn bound_density_batch_traced(
         &self,
-        queries: &Matrix,
+        queries: Arc<Matrix>,
         policy: ExecPolicy,
         every: u64,
     ) -> Result<(Vec<DensityBounds>, QueryStats, Vec<QueryTrace>)> {
-        self.batch_traced(
-            queries.rows(),
+        self.run(
+            queries,
             policy,
-            every,
             &Spans::off(),
-            |i, scratch| self.bound_density_with(queries.row(i), scratch),
+            every,
+            Model::bound_density_with,
         )
     }
+
+    /// Binds one per-query model operation to a query batch and hands it
+    /// to [`drive_batch`] on the classifier's pool.
+    fn run<T, Op>(
+        &self,
+        queries: Arc<Matrix>,
+        policy: ExecPolicy,
+        spans: &Spans,
+        trace_every: u64,
+        op: Op,
+    ) -> Result<(Vec<T>, QueryStats, Traces)>
+    where
+        T: Send + 'static,
+        Op: Fn(&Model, &[f64], &mut QueryScratch) -> Result<T> + Send + Sync + 'static,
+    {
+        let model = Arc::clone(&self.model);
+        drive_batch(
+            &self.pool,
+            queries.rows(),
+            policy,
+            spans,
+            trace_every,
+            move |i, scratch| op(&model, queries.row(i), scratch),
+        )
+    }
+}
+
+/// Per-query traces a batch collected, sorted by query index (nothing
+/// without the `obs` feature, which compiles tracing out).
+#[cfg(feature = "obs")]
+pub(crate) type Traces = Vec<QueryTrace>;
+/// Per-query traces a batch collected (nothing without the `obs`
+/// feature, which compiles tracing out).
+#[cfg(not(feature = "obs"))]
+pub(crate) type Traces = ();
+
+/// The one batch driver: every parallel phase — the bootstrap rounds,
+/// the training-density pass and every classify/density batch — runs
+/// `work(i, scratch)` for `i` in `0..total` through here.
+///
+/// It runs inline on the calling thread for [`ExecPolicy::Serial`], for
+/// one thread, or when `total < 2·threads` (wakeups would dwarf the
+/// work), and on `pool` otherwise. Results come back in index order and
+/// the per-worker [`QueryStats`] merge by summation, so the output is
+/// identical for every policy and thread count.
+///
+/// Stage spans and per-query tracing are inputs: with `spans` enabled
+/// the batch records `classify.{dispatch,traversal,reassembly}` plus one
+/// `classify.leaf_sum` span per worker scratch, and `trace_every > 0`
+/// samples every `trace_every`-th query into the returned traces. With
+/// both off the driver reads no clock and leaves
+/// [`QueryScratch::time_leaves`] false.
+pub(crate) fn drive_batch<T, F>(
+    pool: &Pool,
+    total: usize,
+    policy: ExecPolicy,
+    spans: &Spans,
+    trace_every: u64,
+    work: F,
+) -> Result<(Vec<T>, QueryStats, Traces)>
+where
+    T: Send + 'static,
+    F: Fn(usize, &mut QueryScratch) -> Result<T> + Send + Sync + 'static,
+{
+    let dispatch_span = spans.enter("classify.dispatch");
+    let n_threads = policy.resolved_threads();
+    let time_leaves = spans.is_enabled();
+    let make_scratch = move || {
+        let mut s = QueryScratch::new();
+        s.time_leaves = time_leaves;
+        #[cfg(feature = "obs")]
+        {
+            s.tracer = Tracer::enabled(trace_every);
+        }
+        s
+    };
+    let tracing = cfg!(feature = "obs") && trace_every > 0;
+    let work = move |i: usize, scratch: &mut QueryScratch| {
+        if tracing {
+            scratch.begin_trace(i as u64); // CAST: batch index widens to u64
+        }
+        work(i, scratch)
+    };
+    drop(dispatch_span);
+
+    let t0 = spans.now_us();
+    let traversal_span = spans.enter("classify.traversal");
+    let mut inline = None;
+    let (out, mut pooled) = if n_threads == 1 || total < 2 * n_threads {
+        let mut scratch = make_scratch();
+        let mut out = Vec::with_capacity(total);
+        for i in 0..total {
+            out.push(work(i, &mut scratch)?);
+        }
+        inline = Some(scratch);
+        (out, Vec::new())
+    } else {
+        pool.run_batch(total, n_threads, make_scratch, work)?
+    };
+    drop(traversal_span);
+
+    let _reassembly = spans.enter("classify.reassembly");
+    let mut stats = QueryStats::default();
+    #[cfg(feature = "obs")]
+    let mut traces = Vec::new();
+    for (k, s) in inline.iter_mut().chain(pooled.iter_mut()).enumerate() {
+        stats.merge(&s.stats);
+        #[cfg(feature = "obs")]
+        traces.extend(s.tracer.take_traces());
+        if s.leaf_ns > 0 {
+            // Anchored at traversal start: the leaf time is an
+            // accumulated share of that worker's traversal, not a
+            // contiguous interval.
+            // CAST: worker index is far below u64.
+            let track = leaf_track(spans.submitter_track(), k as u64);
+            spans.record_complete("classify.leaf_sum", track, t0, s.leaf_ns / 1000);
+        }
+    }
+    #[cfg(feature = "obs")]
+    {
+        traces.sort_by_key(|t| t.query);
+        Ok((out, stats, traces))
+    }
+    #[cfg(not(feature = "obs"))]
+    {
+        let _ = trace_every;
+        Ok((out, stats, ()))
+    }
+}
+
+/// Training rows a relative-precision fit pass walks, in their storage
+/// order, with the matching weights (`None` = unit weights).
+trait TrainingRows: Send + Sync + 'static {
+    fn row(&self, i: usize) -> &[f64];
+    fn weights(&self) -> Option<&[f64]>;
+}
+
+/// The weighted tree's own rows, in its reordered storage order.
+impl TrainingRows for KdTree {
+    fn row(&self, i: usize) -> &[f64] {
+        self.point(i)
+    }
+    fn weights(&self) -> Option<&[f64]> {
+        KdTree::weights(self)
+    }
+}
+
+/// The rows HBE keeps for its estimates, in input order.
+impl TrainingRows for HbeBackend {
+    fn row(&self, i: usize) -> &[f64] {
+        self.points().row(i)
+    }
+    fn weights(&self) -> Option<&[f64]> {
+        HbeBackend::weights(self)
+    }
+}
+
+/// A copy of the input rows, for the RFF backend, which keeps none.
+impl TrainingRows for (Matrix, Option<Vec<f64>>) {
+    fn row(&self, i: usize) -> &[f64] {
+        self.0.row(i)
+    }
+    fn weights(&self) -> Option<&[f64]> {
+        self.1.as_deref()
+    }
+}
+
+/// The rest of the weighted and estimated fits once their backend is
+/// built. Every training row's density at relative precision ε — no
+/// bootstrap bounds exist to prune against, and none are needed at
+/// coreset scale — corrected by the row's own mass share `w_i·K(0)/W`
+/// (Eq. 1 generalized to weighted points). `t̃(p)` is the p-quantile of
+/// those densities, weighted when `rows` carries weights: the smallest
+/// density d with Σ{w_i : density_i ≤ d} ≥ p·W, which for unit weights
+/// is the rank-⌈np⌉ order statistic. Neither quantile depends on row
+/// order (the weighted one adds the weights of bit-equal densities in
+/// storage order, which can only change rounding), so `rows` may be
+/// stored in any order.
+fn fit_relative<R: TrainingRows>(
+    pool: &Pool,
+    policy: ExecPolicy,
+    params: &Params,
+    backend: BackendImpl,
+    rows: Arc<R>,
+    w_total: f64,
+    coreset_eps: f64,
+) -> Result<(Model, FitReport)> {
+    let eps = params.epsilon;
+    let k0 = backend.as_dyn().kernel().max_value();
+    let n = backend.as_dyn().n_train();
+    let (b, r) = (backend.clone(), Arc::clone(&rows));
+    let (mut densities, training_stats, _) =
+        drive_batch(pool, n, policy, &Spans::off(), 0, move |i, scratch| {
+            let bd = b.as_dyn().bound_density_relative(r.row(i), eps, scratch);
+            let self_i = r.weights().map_or(1.0, |ws| ws[i]) * k0 / w_total;
+            Ok((bd.midpoint() - self_i).max(0.0))
+        })?;
+    let threshold = match rows.weights() {
+        Some(ws) => weighted_quantile(&densities, ws, params.p)?,
+        None => quantile_in_place(&mut densities, params.p)?,
+    };
+
+    // ε-folding: the pass certifies the weighted KDE, and the full-data
+    // KDE lives within ±coreset_eps·K(0) of it, so the stored bounds
+    // widen by that on top of the usual ±ε·t tolerance slack. (For the
+    // estimated backends the per-query probabilistic interval is what
+    // actually certifies, with probability 1 − δ, at classify time.)
+    let threshold_bounds = ThresholdBounds {
+        lower: threshold * (1.0 - params.epsilon),
+        upper: threshold * (1.0 + params.epsilon),
+    }
+    .folded(coreset_eps * k0);
+    let fit_report = FitReport {
+        threshold_bounds,
+        threshold,
+        bootstrap: BootstrapReport::default(),
+        training_stats,
+        threshold_reestimates: 0,
+    };
+    let model = Model {
+        params: params.clone(),
+        threshold,
+        coreset_eps,
+        backend,
+    };
+    Ok((model, fit_report))
 }
 
 /// Synthetic span track for worker `k`'s leaf-sum share of a batch
@@ -1810,26 +1649,16 @@ mod tests {
             // Counter merging is order-independent summation, so the
             // totals — not just the query count — must match exactly.
             assert_eq!(s_stats, p_stats, "threads={threads}");
-            let (chunked, c_stats) = clf
-                .classify_batch_with(
-                    &queries,
-                    ExecPolicy::StaticChunked {
+            let (shared, sh_stats) = clf
+                .classify_batch_shared(
+                    Arc::new(queries.clone()),
+                    ExecPolicy::Parallel {
                         threads: Some(threads),
                     },
                 )
                 .unwrap();
-            assert_eq!(serial, chunked, "threads={threads}");
-            assert_eq!(s_stats, c_stats, "threads={threads}");
-            let (scoped, sc_stats) = clf
-                .classify_batch_with(
-                    &queries,
-                    ExecPolicy::ScopedSpawn {
-                        threads: Some(threads),
-                    },
-                )
-                .unwrap();
-            assert_eq!(serial, scoped, "threads={threads}");
-            assert_eq!(s_stats, sc_stats, "threads={threads}");
+            assert_eq!(serial, shared, "threads={threads}");
+            assert_eq!(s_stats, sh_stats, "threads={threads}");
         }
     }
 
@@ -1838,13 +1667,13 @@ mod tests {
         let data = gaussian_blob(1500, 2, 163);
         let clf = Classifier::fit(&data, &Params::default()).unwrap();
         let queries = gaussian_blob(400, 2, 167);
-        // Serial, static-chunked and scoped-spawn batches never touch
-        // the pool.
+        // A serial fit, serial and one-thread batches, and batches too
+        // small to split never touch the pool.
         clf.classify_batch_with(&queries, ExecPolicy::Serial)
             .unwrap();
-        clf.classify_batch_with(&queries, ExecPolicy::StaticChunked { threads: Some(4) })
+        clf.classify_batch_with(&queries, ExecPolicy::with_threads(1))
             .unwrap();
-        clf.classify_batch_with(&queries, ExecPolicy::ScopedSpawn { threads: Some(4) })
+        clf.classify_batch_with(&gaussian_blob(7, 2, 168), ExecPolicy::with_threads(4))
             .unwrap();
         assert_eq!(clf.pool.spawned(), 0, "only Parallel engages the pool");
         // A parallel batch wakes the pool once; repeats reuse it.
@@ -1863,6 +1692,24 @@ mod tests {
     }
 
     #[test]
+    fn parallel_fit_hands_its_pool_to_the_classifier() {
+        let data = gaussian_blob(1500, 2, 169);
+        let clf =
+            Classifier::fit_with(&data, &Params::default(), ExecPolicy::with_threads(4)).unwrap();
+        // The bootstrap and training passes spawned the workers once...
+        assert_eq!(clf.pool.spawned(), 3, "4 threads ⇒ submitter + 3 workers");
+        let fit_tasks = clf.pool_telemetry().total().tasks_run;
+        assert!(fit_tasks >= data.rows() as u64, "the fit ran on the pool");
+        // ...and batches reuse them.
+        let queries = gaussian_blob(400, 2, 171);
+        clf.classify_batch_with(&queries, ExecPolicy::with_threads(4))
+            .unwrap();
+        assert_eq!(clf.pool.spawned(), 3, "no second spawn after the fit");
+        let tasks = clf.pool_telemetry().total().tasks_run;
+        assert_eq!(tasks - fit_tasks, queries.rows() as u64);
+    }
+
+    #[test]
     fn shared_entry_points_match_borrowed() {
         let data = gaussian_blob(1500, 2, 173);
         let clf = Classifier::fit(&data, &Params::default()).unwrap();
@@ -1870,7 +1717,7 @@ mod tests {
         for policy in [
             ExecPolicy::Serial,
             ExecPolicy::with_threads(4),
-            ExecPolicy::ScopedSpawn { threads: Some(4) },
+            ExecPolicy::parallel(),
         ] {
             let (borrowed, b_stats) = clf.classify_batch_with(&queries, policy).unwrap();
             let (shared, s_stats) = clf.classify_batch_shared(queries.clone(), policy).unwrap();
@@ -1878,7 +1725,7 @@ mod tests {
             assert_eq!(b_stats, s_stats, "{policy:?}");
             let (borrowed, b_stats) = clf.bound_density_batch_with(&queries, policy).unwrap();
             let (shared, s_stats) = clf
-                .bound_density_batch_shared(queries.clone(), policy)
+                .bound_density_batch_shared_spanned(queries.clone(), policy, &Spans::off())
                 .unwrap();
             assert_eq!(borrowed.len(), shared.len(), "{policy:?}");
             for (b, s) in borrowed.iter().zip(&shared) {
@@ -2012,7 +1859,7 @@ mod tests {
         assert_eq!(ExecPolicy::Serial.resolved_threads(), 1);
         assert_eq!(ExecPolicy::with_threads(4).resolved_threads(), 4);
         assert_eq!(
-            ExecPolicy::StaticChunked { threads: Some(0) }.resolved_threads(),
+            ExecPolicy::Parallel { threads: Some(0) }.resolved_threads(),
             1
         );
         assert!(ExecPolicy::parallel().resolved_threads() >= 1);

@@ -1,320 +1,29 @@
-//! Work-stealing batch execution engine.
+//! The batch scheduler: one persistent work-stealing [`Pool`] per
+//! classifier.
 //!
 //! Threshold-pruned query costs are heavy-tailed: a query far from the
 //! ±ε·t ambiguity band prunes after a handful of node expansions, while a
 //! near-threshold query can expand orders of magnitude more nodes. Static
 //! chunking (splitting the batch into `n_threads` equal ranges up front)
 //! therefore leaves most cores idle whenever the hard queries cluster in
-//! one chunk. This module provides the alternative used by every parallel
-//! driver in the workspace: scoped worker threads (via the `tkdc-sync`
-//! facade, so `cargo xtask model-check` can explore their interleavings)
-//! pulling index ranges from a shared [`WorkQueue`] — an `AtomicUsize`
-//! cursor with
-//! *guided* (adaptive) grain size. Early ranges are coarse (cheap to
-//! claim, good locality); as the queue drains, grains shrink toward one
-//! item so a single pathological query never strands more than itself on
-//! one core.
+//! one chunk. The [`Pool`] splits a batch the same way but lets a
+//! participant whose range ran dry steal chunks from the others, so a
+//! single pathological query never strands more than itself on one core.
 //!
-//! The engine is dependency-free (no rayon/crossbeam) and deterministic
-//! in its *results*: each item's output is computed independently and
-//! reassembled in index order, so the output vector — and any
-//! order-independent reduction over per-worker state, such as summed
-//! [`crate::qstats::QueryStats`] counters — is identical for every thread
-//! count.
-
-use std::ops::Range;
-
-use tkdc_sync::atomic::{AtomicUsize, Ordering};
-use tkdc_sync::thread;
-
-use tkdc_common::error::Result;
+//! All three density loops of the paper — the bootstrap rounds
+//! (Algorithm 3), the training-density pass that fixes `t̃(p)`
+//! (Algorithm 1) and classification — run one independent traversal per
+//! point, so they all run on the same pool: the fit creates it, and the
+//! fitted [`crate::Classifier`] keeps it for every later batch.
+//!
+//! The scheduler is dependency-free (no rayon/crossbeam), goes through
+//! the `tkdc-sync` facade so `cargo xtask model-check` can explore its
+//! interleavings, and is deterministic in its *results*: each item's
+//! output is computed independently and reassembled in index order, so
+//! the output vector — and any order-independent reduction over
+//! per-worker state, such as summed [`crate::qstats::QueryStats`]
+//! counters — is identical for every thread count.
 
 pub mod pool;
 
 pub use pool::{Pool, PoolTelemetry, WorkerCounters, WorkerTelemetry};
-
-/// Divisor steering the guided grain size: each claimed range is
-/// `remaining / (workers * GRAIN_DIVISOR)`, so every worker expects to
-/// come back for more work a few times and the tail is finely sliced.
-const GRAIN_DIVISOR: usize = 4;
-
-/// Upper bound on a single claimed range, so enormous batches still
-/// rebalance at a reasonable frequency.
-const MAX_GRAIN: usize = 1024;
-
-/// A shared range dispenser over `0..total`.
-///
-/// Workers call [`WorkQueue::next_range`] until it returns `None`. The
-/// queue hands out disjoint, in-order ranges whose sizes shrink as work
-/// remains — guided self-scheduling. All operations are lock-free; the
-/// only shared state is one atomic cursor.
-#[derive(Debug)]
-pub struct WorkQueue {
-    cursor: AtomicUsize,
-    total: usize,
-    workers: usize,
-}
-
-impl WorkQueue {
-    /// A queue over `0..total` expected to be drained by `workers`
-    /// threads (the worker count only tunes grain size; any number of
-    /// threads may actually pull from the queue).
-    pub fn new(total: usize, workers: usize) -> Self {
-        Self {
-            cursor: AtomicUsize::new(0),
-            total,
-            workers: workers.max(1),
-        }
-    }
-
-    /// Claims the next range of work, or `None` when the queue is empty.
-    ///
-    /// Grain size is `remaining / (workers · 4)` clamped to
-    /// `[1, 1024]` — coarse while the batch is full, single items at the
-    /// tail.
-    pub fn next_range(&self) -> Option<Range<usize>> {
-        // ORDERING: Relaxed suffices — CAS atomicity alone guarantees
-        // ranges are disjoint, and the results written under a claimed
-        // range are published to the caller by thread join, not by this
-        // cursor. Model-checked by `engine_cursor_*` in
-        // tests/model_check.rs.
-        let mut cur = self.cursor.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.total {
-                return None;
-            }
-            let remaining = self.total - cur;
-            let grain = (remaining / (self.workers * GRAIN_DIVISOR))
-                .clamp(1, MAX_GRAIN)
-                .min(remaining);
-            // ORDERING: Relaxed on both edges — see the load above; the
-            // cursor transfers no data, only disjointness.
-            match self.cursor.compare_exchange_weak(
-                cur,
-                cur + grain,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Some(cur..cur + grain),
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Marks the queue as drained so other workers stop pulling ranges
-    /// (used to cut the batch short once a worker hits an error).
-    pub fn abort(&self) {
-        // ORDERING: Relaxed — aborting is advisory (workers may claim a
-        // few more items); the authoritative error is carried in the
-        // worker's own output and published by join.
-        self.cursor.store(self.total, Ordering::Relaxed);
-    }
-}
-
-/// Output of one worker thread: completed `(start, results)` segments,
-/// the worker's final state, and the first error it encountered (if any)
-/// tagged with the item index it occurred at.
-type WorkerOutput<T, S> = (
-    Vec<(usize, Vec<T>)>,
-    S,
-    Option<(usize, tkdc_common::error::Error)>,
-);
-
-/// Runs `work(i, &mut state)` for every `i` in `0..total` across
-/// `n_threads` scoped worker threads pulling from a shared [`WorkQueue`],
-/// and returns the per-item results in index order plus every worker's
-/// final state (for merging statistics).
-///
-/// Guarantees:
-/// * results are in index order and identical for any `n_threads`
-///   (assuming `work` is deterministic per index);
-/// * with `n_threads <= 1` no thread is spawned — the batch runs inline,
-///   so the single-threaded path stays allocation- and syscall-free;
-/// * on error, the error raised at the *smallest* item index is returned,
-///   independent of thread interleaving.
-///
-/// # Errors
-/// Propagates the first (lowest-index) error returned by `work`.
-pub fn run_batch<T, S, G, F>(
-    total: usize,
-    n_threads: usize,
-    init: G,
-    work: F,
-) -> Result<(Vec<T>, Vec<S>)>
-where
-    T: Send,
-    S: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(usize, &mut S) -> Result<T> + Sync,
-{
-    let n_threads = n_threads.max(1).min(total.max(1));
-    if n_threads == 1 {
-        let mut state = init();
-        let mut out = Vec::with_capacity(total);
-        for i in 0..total {
-            out.push(work(i, &mut state)?);
-        }
-        return Ok((out, vec![state]));
-    }
-
-    let queue = WorkQueue::new(total, n_threads);
-    let mut outputs: Vec<WorkerOutput<T, S>> = Vec::with_capacity(n_threads);
-    thread::scope(|scope| {
-        let queue = &queue;
-        let init = &init;
-        let work = &work;
-        let mut handles = Vec::with_capacity(n_threads);
-        for _ in 0..n_threads {
-            handles.push(scope.spawn(move || {
-                let mut state = init();
-                let mut segments: Vec<(usize, Vec<T>)> = Vec::new();
-                let mut error: Option<(usize, tkdc_common::error::Error)> = None;
-                'pull: while let Some(range) = queue.next_range() {
-                    let start = range.start;
-                    let mut seg = Vec::with_capacity(range.len());
-                    for i in range {
-                        match work(i, &mut state) {
-                            Ok(v) => seg.push(v),
-                            Err(e) => {
-                                error = Some((i, e));
-                                queue.abort();
-                                break 'pull;
-                            }
-                        }
-                    }
-                    segments.push((start, seg));
-                }
-                (segments, state, error)
-            }));
-        }
-        for h in handles {
-            // INVARIANT: re-raising a worker panic is the only sound option here.
-            outputs.push(h.join().expect("batch worker panicked"));
-        }
-    });
-
-    // Deterministic error selection: the failure at the smallest index
-    // wins, whatever thread happened to hit it.
-    let mut first_err: Option<(usize, tkdc_common::error::Error)> = None;
-    let mut segments: Vec<(usize, Vec<T>)> = Vec::new();
-    let mut states = Vec::with_capacity(outputs.len());
-    for (segs, state, err) in outputs {
-        segments.extend(segs);
-        states.push(state);
-        if let Some((i, e)) = err {
-            if first_err.as_ref().is_none_or(|(fi, _)| i < *fi) {
-                first_err = Some((i, e));
-            }
-        }
-    }
-    if let Some((_, e)) = first_err {
-        return Err(e);
-    }
-
-    // Reassemble in index order. Segments are disjoint and cover
-    // `0..total` exactly when no error occurred.
-    segments.sort_unstable_by_key(|(start, _)| *start);
-    let mut out = Vec::with_capacity(total);
-    for (start, seg) in segments {
-        // INVARIANT: the queue hands out 0..total in order without gaps,
-        // so sorted segments tile the output exactly.
-        assert_eq!(start, out.len(), "work queue segments must tile");
-        out.extend(seg);
-    }
-    assert_eq!(out.len(), total, "work queue must cover the batch");
-    Ok((out, states))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tkdc_common::error::Error;
-
-    /// Sizes shrink under Miri (CI's miri-smoke job runs these tests
-    /// interpreted, ~3 orders of magnitude slower than native).
-    const N_COVER: usize = if cfg!(miri) { 300 } else { 10_000 };
-
-    #[test]
-    fn queue_covers_every_index_exactly_once() {
-        let q = WorkQueue::new(N_COVER, 4);
-        let mut seen = vec![false; N_COVER];
-        while let Some(r) = q.next_range() {
-            for i in r {
-                assert!(!seen[i], "index {i} handed out twice");
-                seen[i] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "every index must be handed out");
-    }
-
-    #[test]
-    fn queue_grain_shrinks_toward_tail() {
-        let q = WorkQueue::new(4096, 4);
-        let mut sizes = Vec::new();
-        while let Some(r) = q.next_range() {
-            sizes.push(r.len());
-        }
-        // Guided scheduling: first grain is the largest, last is 1.
-        assert!(sizes.first().unwrap() > sizes.last().unwrap());
-        assert_eq!(*sizes.last().unwrap(), 1);
-        assert!(sizes.iter().all(|&s| s <= MAX_GRAIN));
-    }
-
-    #[test]
-    fn queue_empty_returns_none() {
-        let q = WorkQueue::new(0, 4);
-        assert!(q.next_range().is_none());
-    }
-
-    #[test]
-    fn abort_stops_distribution() {
-        let q = WorkQueue::new(100, 2);
-        assert!(q.next_range().is_some());
-        q.abort();
-        assert!(q.next_range().is_none());
-    }
-
-    #[test]
-    fn run_batch_matches_serial_for_any_thread_count() {
-        let n = if cfg!(miri) { 64 } else { 1000 };
-        let work = |i: usize, acc: &mut u64| -> Result<u64> {
-            *acc += 1;
-            Ok((i as u64) * 3 + 1)
-        };
-        let (serial, _) = run_batch(n, 1, || 0u64, work).unwrap();
-        for threads in [2, 3, 4, 8] {
-            let (parallel, states) = run_batch(n, threads, || 0u64, work).unwrap();
-            assert_eq!(serial, parallel, "threads={threads}");
-            // Every item processed exactly once across all workers.
-            assert_eq!(states.iter().sum::<u64>(), n as u64);
-        }
-    }
-
-    #[test]
-    fn run_batch_returns_lowest_index_error() {
-        let n = if cfg!(miri) { 64 } else { 1000 };
-        let work = |i: usize, _: &mut ()| -> Result<usize> {
-            if i == 37 || i == 612 {
-                Err(Error::EmptyInput("boom"))
-            } else {
-                Ok(i)
-            }
-        };
-        for threads in [1, 4] {
-            let err = run_batch(n, threads, || (), work).unwrap_err();
-            assert!(
-                matches!(err, Error::EmptyInput("boom")),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn run_batch_empty_and_tiny_batches() {
-        let work = |i: usize, _: &mut ()| -> Result<usize> { Ok(i) };
-        let (out, _) = run_batch(0, 8, || (), work).unwrap();
-        assert!(out.is_empty());
-        let (out, _) = run_batch(3, 8, || (), work).unwrap();
-        assert_eq!(out, vec![0, 1, 2]);
-    }
-}

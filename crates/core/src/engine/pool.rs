@@ -1,14 +1,11 @@
 //! Persistent work-stealing thread pool.
 //!
-//! [`super::run_batch`] spawns scoped threads per batch, which is fine
-//! for one-shot CLI runs but dominates the per-batch cost in serving
-//! scenarios: BENCH_batch.json showed *sub-1.0× speedups* at 2–4
-//! threads because every batch paid thread spawn + scheduler-state
-//! rebuild. [`Pool`] keeps workers alive across batches instead:
-//! workers park on a condvar between jobs, a submission publishes one
-//! type-erased job and wakes them, and the submitting thread itself
-//! participates so a single-threaded job degenerates to the inline
-//! serial path with zero parked threads.
+//! [`Pool`] keeps workers alive across batches: workers park on a
+//! condvar between jobs, a submission publishes one type-erased job and
+//! wakes them, and the submitting thread itself participates so a
+//! single-threaded job degenerates to the inline serial path with zero
+//! parked threads. Serving-style repeated small batches therefore pay
+//! a wakeup, never a thread spawn.
 //!
 //! Scheduling inside a job is per-participant deques with chunked
 //! stealing. The index space `0..total` is split into contiguous
@@ -18,14 +15,13 @@
 //! dry steals half (grain-capped) from the *back* of a victim's
 //! deque. Stealing in grain-sized chunks rather than single indices is
 //! what keeps the stolen work's amortized synchronization cost on par
-//! with static partitioning on uniform workloads (see the
-//! `skewed.per_threads` regression this replaced).
+//! with static partitioning on uniform workloads.
 //!
-//! Determinism contract (same as [`super::run_batch`]): results are
-//! reassembled in index order, so the output vector is bit-identical
-//! for every capacity/thread count; per-participant states are merged
-//! by the caller with order-independent reductions; the error at the
-//! smallest item index wins.
+//! Determinism contract: results are reassembled in index order, so
+//! the output vector is bit-identical for every capacity/thread count;
+//! per-participant states are merged by the caller with
+//! order-independent reductions; the error at the smallest item index
+//! wins.
 //!
 //! Everything here goes through the `tkdc-sync` facade, so
 //! `cargo xtask model-check` can exhaustively explore the park/unpark
@@ -41,11 +37,18 @@ use tkdc_sync::{Arc, Condvar, Mutex};
 
 use tkdc_common::error::{Error, Result};
 
-use super::{GRAIN_DIVISOR, MAX_GRAIN};
+/// Divisor steering the guided owner grain: each pop takes
+/// `remaining / GRAIN_DIVISOR` of the participant's own range, so every
+/// participant comes back for more work a few times and the tail is
+/// finely sliced.
+const GRAIN_DIVISOR: usize = 4;
+
+/// Upper bound on a single claimed chunk, so enormous batches still
+/// rebalance at a reasonable frequency.
+const MAX_GRAIN: usize = 1024;
 
 /// Owner grain: a few round-trips to the deque per participant, single
-/// items at the tail (guided self-scheduling, same shape as
-/// [`super::WorkQueue`]).
+/// items at the tail (guided self-scheduling).
 fn own_grain(len: usize) -> usize {
     (len / GRAIN_DIVISOR).clamp(1, MAX_GRAIN).min(len)
 }
@@ -540,12 +543,14 @@ impl Pool {
     /// participants' final states (padded with `init()` to exactly the
     /// engaged thread count, so state-vector length is deterministic).
     ///
-    /// Same guarantees as [`super::run_batch`]: index-order results
-    /// identical for any thread count, lowest-index error wins, and
-    /// `n_threads <= 1` (or a trivial batch) runs inline with no
-    /// synchronization at all. Unlike `run_batch`, closures must be
-    /// `'static` because workers outlive the call — clone an `Arc` of
-    /// the model/queries into them.
+    /// Results are in index order and identical for any thread count,
+    /// the lowest-index error wins, and `n_threads <= 1` (or a trivial
+    /// batch) runs inline with no synchronization at all. Closures must
+    /// be `'static` because workers outlive the call — clone an `Arc` of
+    /// the model/queries into them. A worker may still hold the job (and
+    /// so the closure's captures) for a moment after this returns, so
+    /// callers must not expect to be the sole owner of a captured `Arc`
+    /// again.
     ///
     /// # Errors
     /// Propagates the lowest-index error returned by `work`.

@@ -45,12 +45,14 @@
 //!   threshold and tolerance pruning rules (Eq. 8–9).
 //! * [`threshold`] — the bootstrapped threshold estimator (Algorithm 3).
 //! * [`classifier`] — the end-to-end classifier (Algorithm 1), including
-//!   the grid cache fast path and the unified batch entry points
+//!   the grid cache fast path, the batch entry points
 //!   (`classify_batch_with` / `bound_density_batch_with`, scheduled by
-//!   [`classifier::ExecPolicy`]).
-//! * [`engine`] — the dependency-free work-stealing batch scheduler
-//!   behind every parallel driver (classification, bootstrap, training
-//!   densities).
+//!   [`classifier::ExecPolicy`]) and the one batch driver they, the
+//!   bootstrap and the training pass all run through.
+//! * [`engine`] — the dependency-free work-stealing [`engine::Pool`]:
+//!   the one scheduler, created by each fit and kept by its classifier
+//!   for every parallel phase (bootstrap, training densities,
+//!   classification).
 //! * [`qstats`] — per-query and aggregate instrumentation (kernel
 //!   evaluations, node expansions, prune causes) used by the paper's
 //!   factor/lesion analyses (Fig. 12/16).

@@ -10,16 +10,18 @@
 //! when a round's densities overflow the previous bounds, the bounds are
 //! multiplicatively backed off and the round retried.
 
-use crate::bound::DensityBounder;
-use crate::classifier::ExecPolicy;
-use crate::engine;
+use crate::backend::{DensityBackend, TreeBackend};
+use crate::classifier::{drive_batch, ExecPolicy};
+use crate::engine::Pool;
 use crate::params::Params;
-use crate::qstats::{QueryScratch, QueryStats};
+use crate::qstats::QueryStats;
+use crate::span::Spans;
 use tkdc_common::error::{Error, Result};
 use tkdc_common::order::quantile_ci_ranks;
 use tkdc_common::{Matrix, Rng};
 use tkdc_index::KdTree;
 use tkdc_kernel::{scotts_rule, Kernel};
+use tkdc_sync::Arc;
 
 /// Probabilistic bounds on the quantile threshold `t(p)`.
 ///
@@ -86,15 +88,53 @@ pub fn bound_threshold_with(
     params: &Params,
     policy: ExecPolicy,
 ) -> Result<(ThresholdBounds, BootstrapReport)> {
+    let boot = bootstrap(&Pool::new(), data, params, policy)?;
+    Ok((boot.bounds, boot.report))
+}
+
+/// A finished bootstrap: the threshold bounds, the diagnostics, and the
+/// final round's full-data index and kernel.
+pub(crate) struct Bootstrap {
+    pub(crate) bounds: ThresholdBounds,
+    pub(crate) report: BootstrapReport,
+    /// The k-d tree over all of `data`, built exactly as a fresh
+    /// `KdTree::build(data, leaf_size, split_rule)` would build it.
+    pub(crate) tree: Arc<KdTree>,
+    /// The Scott's-rule kernel over all of `data`.
+    pub(crate) kernel: Kernel,
+}
+
+/// [`bound_threshold_with`] on a caller-owned pool, keeping the final
+/// round's tree and kernel. The final round (`r == n`) trains on `data`
+/// itself with the fit's leaf size, split rule and bandwidth, so the
+/// fit reuses that tree as the model's index instead of building it a
+/// second time.
+pub(crate) fn bootstrap(
+    pool: &Pool,
+    data: &Matrix,
+    params: &Params,
+    policy: ExecPolicy,
+) -> Result<Bootstrap> {
     params.validate()?;
     let n = data.rows();
     if n == 0 {
         return Err(Error::EmptyInput("bootstrap training data"));
     }
-    let n_threads = policy.resolved_threads();
     let mut rng = Rng::seed_from(params.seed);
     let mut report = BootstrapReport::default();
-    let mut scratch = QueryScratch::new();
+    let mut stats = QueryStats::default();
+
+    // Mini-KDE over a training subset: fresh index and bandwidth
+    // (Scott's rule depends on the subset size).
+    let build = |xr: &Matrix| -> Result<(Arc<KdTree>, Kernel)> {
+        let tree = KdTree::build(xr, params.leaf_size, params.opts.split_rule())?;
+        let kernel = Kernel::new(params.kernel, scotts_rule(xr, params.bandwidth_factor)?)?;
+        Ok((Arc::new(tree), kernel))
+    };
+    // The full-data tree and kernel, built on the first round with
+    // `r == n`; a backoff retry at `r == n` trains on the same `data`
+    // and reuses them.
+    let mut full: Option<(Arc<KdTree>, Kernel)> = None;
 
     let mut t_lo = 0.0f64;
     let mut t_hi = f64::INFINITY;
@@ -113,15 +153,26 @@ pub fn bound_threshold_with(
             &sampled
         };
         let s = params.bootstrap.s0.min(r);
-        let xs = xr.sample_rows(s, &mut rng);
+        let xs = Arc::new(xr.sample_rows(s, &mut rng));
 
-        // Mini-KDE over the subset: fresh index and bandwidth (Scott's
-        // rule depends on the subset size).
-        let tree = KdTree::build(xr, params.leaf_size, params.opts.split_rule())?;
-        let h = scotts_rule(xr, params.bandwidth_factor)?;
-        let kernel = Kernel::new(params.kernel, h)?;
-        let bounder = DensityBounder::new(&tree, &kernel, params.opts, params.epsilon);
+        let (tree, kernel) = match &full {
+            Some(built) => built.clone(),
+            None => {
+                let built = build(xr)?;
+                if r == n {
+                    full = Some(built.clone());
+                }
+                built
+            }
+        };
         let self_contrib = kernel.max_value() / r as f64;
+        let round = Arc::new(TreeBackend::new(
+            tree,
+            kernel,
+            None,
+            params.opts,
+            params.epsilon,
+        ));
 
         // Density estimates for the query subsample, corrected for the
         // contribution each training point makes to itself (Eq. 1).
@@ -130,22 +181,21 @@ pub fn bound_threshold_with(
         // — otherwise a raw density just above t_hi could be pruned as
         // certainly-HIGH even though its corrected value belongs inside
         // the CI ranks, corrupting the order statistics.
+        let raw_lo = t_lo + self_contrib;
         let raw_hi = if t_hi.is_finite() {
             t_hi + self_contrib
         } else {
             t_hi
         };
-        // Work-stolen across threads; densities come back in index order
-        // and the per-worker counters merge by summation, so the round is
-        // bit-identical to a serial loop for every thread count.
-        let (mut densities, worker_scratches) =
-            engine::run_batch(s, n_threads, QueryScratch::new, |i, sc| {
-                let b = bounder.bound_density(xs.row(i), t_lo + self_contrib, raw_hi, sc);
+        // Work-stolen across the pool; densities come back in index
+        // order and the per-worker counters merge by summation, so the
+        // round is bit-identical to a serial loop for every thread count.
+        let (mut densities, round_stats, _) =
+            drive_batch(pool, s, policy, &Spans::off(), 0, move |i, sc| {
+                let b = round.bound_density(xs.row(i), raw_lo, raw_hi, sc);
                 Ok((b.midpoint() - self_contrib).max(0.0))
             })?;
-        for ws in &worker_scratches {
-            scratch.stats.merge(&ws.stats);
-        }
+        stats.merge(&round_stats);
         // IEEE total order: a NaN density (which bound_density should
         // never produce, but a poisoned input could) sorts last instead of
         // panicking mid-bootstrap.
@@ -182,20 +232,23 @@ pub fn bound_threshold_with(
             continue;
         }
 
-        if r == n {
+        // `full` is set exactly when this round trained on all of `data`.
+        if let Some((tree, kernel)) = full.take() {
             // Final round ran on the full dataset: the CI ranks are the
             // answer. The midpoint estimates carry up to ±ε·t/2 tolerance
             // error, so widen the returned bounds by that slack — without
             // it the documented 1−δ coverage could be eroded by the
             // approximation itself.
-            report.stats.merge(&scratch.stats);
-            return Ok((
-                ThresholdBounds {
+            report.stats = stats;
+            return Ok(Bootstrap {
+                bounds: ThresholdBounds {
                     lower: d_l * (1.0 - params.epsilon),
                     upper: d_u * (1.0 + params.epsilon),
                 },
                 report,
-            ));
+                tree,
+                kernel,
+            });
         }
 
         // Valid intermediate bounds: buffer them for the next, larger

@@ -15,7 +15,7 @@
 //!   model at startup and answers the versioned, length-prefixed binary
 //!   protocol defined in [`protocol`]: `Ping`, `Classify`, `Density`,
 //!   `Stats`, `Shutdown`. Every `Classify`/`Density` request is a
-//!   micro-batch executed through `Classifier::classify_batch_with`
+//!   micro-batch executed through `Classifier::classify_batch_shared_spanned`
 //!   under a work-stealing [`tkdc::ExecPolicy`].
 //! * [`Client`] — a blocking client with one method per request type.
 //! * [`metrics`] — lock-free server metrics (request/error counters and

@@ -614,26 +614,22 @@ fn respond(shared: &Shared, req: Request, spans: &Spans) -> (Response, bool) {
         Request::Classify { points } => {
             shared.metrics.classifies.inc();
             let exec_span = spans.enter("serve.exec");
+            // The request's owned points ride into the pool job as an
+            // Arc — no per-request copy of the batch.
+            let points = Arc::new(points);
             let result = match &shared.trace {
                 Some(sink) => shared
                     .classifier
-                    .classify_batch_traced_spanned(
-                        &points,
-                        shared.policy,
-                        shared.trace_every,
-                        spans,
-                    )
+                    .classify_batch_traced_spanned(points, shared.policy, shared.trace_every, spans)
                     .map(|(labels, stats, traces)| {
                         write_traces(sink, &traces);
                         (labels, stats)
                     }),
-                // The request's owned points ride into the pool job as
-                // an Arc — no per-request copy of the batch.
-                None => shared.classifier.classify_batch_shared_spanned(
-                    Arc::new(points),
-                    shared.policy,
-                    spans,
-                ),
+                None => {
+                    shared
+                        .classifier
+                        .classify_batch_shared_spanned(points, shared.policy, spans)
+                }
             };
             drop(exec_span);
             match result {
@@ -655,16 +651,17 @@ fn respond(shared: &Shared, req: Request, spans: &Spans) -> (Response, bool) {
         Request::Density { points } => {
             shared.metrics.densities.inc();
             let exec_span = spans.enter("serve.exec");
+            let points = Arc::new(points);
             let result = match &shared.trace {
                 Some(sink) => shared
                     .classifier
-                    .bound_density_batch_traced(&points, shared.policy, shared.trace_every)
+                    .bound_density_batch_traced(points, shared.policy, shared.trace_every)
                     .map(|(bounds, stats, traces)| {
                         write_traces(sink, &traces);
                         (bounds, stats)
                     }),
                 None => shared.classifier.bound_density_batch_shared_spanned(
-                    Arc::new(points),
+                    points,
                     shared.policy,
                     spans,
                 ),

@@ -136,7 +136,7 @@ def main():
     ap.add_argument("--disagreement", type=float, default=0.01)
     args = ap.parse_args()
     backend = load(args.backend, "tkdc-bench-backend/v1")
-    batch = load(args.batch, "tkdc-bench-batch/v2")
+    batch = load(args.batch, "tkdc-bench-batch/v3")
     rc = gate_tree_parity(backend, batch)
     rc |= gate_rows(backend)
     rc |= gate_headline(backend, args.speedup, args.disagreement)

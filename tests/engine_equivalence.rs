@@ -1,11 +1,8 @@
 //! Property tests for the work-stealing engine's determinism contract:
 //!
 //! * serial and work-stolen batch classification produce identical labels
-//!   and identical merged `QueryStats` totals for any thread count —
-//!   across *every* scheduler: the persistent pool
-//!   (`ExecPolicy::Parallel`), per-batch scoped spawn
-//!   (`ExecPolicy::ScopedSpawn`), and static chunking
-//!   (`ExecPolicy::StaticChunked`),
+//!   and identical merged `QueryStats` totals for any thread count,
+//!   through both the borrowed and the zero-copy (`Arc`) entry points,
 //! * repeated batches through the same classifier's pool (the serve
 //!   request pattern) are stable — reuse changes nothing,
 //! * `bound_threshold` returns bit-identical `ThresholdBounds` (and an
@@ -14,12 +11,14 @@
 //! The shared classifier is fitted once (`OnceLock`): the properties vary
 //! the *queries* and the *thread count*, not the model.
 
-use tkdc_sync::OnceLock;
+use tkdc_sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
+use tkdc::bound::DensityBounds;
 use tkdc::threshold::{bound_threshold, bound_threshold_with};
 use tkdc::{Classifier, ExecPolicy, Params};
 use tkdc_common::{Matrix, Rng};
+use tkdc_index::KdTree;
 
 fn gaussian_blob(n: usize, d: usize, seed: u64) -> Matrix {
     let mut rng = Rng::seed_from(seed);
@@ -32,6 +31,15 @@ fn gaussian_blob(n: usize, d: usize, seed: u64) -> Matrix {
         m.push_row(&row).unwrap();
     }
     m
+}
+
+/// Density bounds as exact bit patterns (f64 `==` would let a sign
+/// flip on zero through).
+fn bounds_bits(bounds: &[DensityBounds]) -> Vec<(u64, u64)> {
+    bounds
+        .iter()
+        .map(|b| (b.lower.to_bits(), b.upper.to_bits()))
+        .collect()
 }
 
 fn shared_classifier() -> &'static Classifier {
@@ -84,22 +92,28 @@ proptest! {
         let (serial, s_stats) = clf
             .classify_batch_with(&queries, ExecPolicy::Serial)
             .expect("serial");
+        let (s_bounds, sb_stats) = clf
+            .bound_density_batch_with(&queries, ExecPolicy::Serial)
+            .expect("serial bounds");
         for threads in [1usize, 2, 4, 8] {
             let (parallel, p_stats) = clf
                 .classify_batch_with(&queries, ExecPolicy::with_threads(threads))
                 .expect("parallel");
             prop_assert_eq!(&serial, &parallel, "labels diverged at {} threads", threads);
             prop_assert_eq!(s_stats, p_stats, "stats diverged at {} threads", threads);
-            let (chunked, c_stats) = clf
-                .classify_batch_with(&queries, ExecPolicy::StaticChunked { threads: Some(threads) })
-                .expect("static");
-            prop_assert_eq!(&serial, &chunked, "static labels diverged at {} threads", threads);
-            prop_assert_eq!(s_stats, c_stats, "static stats diverged at {} threads", threads);
-            let (scoped, sc_stats) = clf
-                .classify_batch_with(&queries, ExecPolicy::ScopedSpawn { threads: Some(threads) })
-                .expect("scoped");
-            prop_assert_eq!(&serial, &scoped, "scoped labels diverged at {} threads", threads);
-            prop_assert_eq!(s_stats, sc_stats, "scoped stats diverged at {} threads", threads);
+            let (shared, sh_stats) = clf
+                .classify_batch_shared(
+                    Arc::new(queries.clone()),
+                    ExecPolicy::Parallel { threads: Some(threads) },
+                )
+                .expect("shared");
+            prop_assert_eq!(&serial, &shared, "shared labels diverged at {} threads", threads);
+            prop_assert_eq!(s_stats, sh_stats, "shared stats diverged at {} threads", threads);
+            let (bounds, b_stats) = clf
+                .bound_density_batch_with(&queries, ExecPolicy::Parallel { threads: Some(threads) })
+                .expect("bounds");
+            prop_assert_eq!(bounds_bits(&bounds), bounds_bits(&s_bounds), "bounds diverged at {} threads", threads);
+            prop_assert_eq!(sb_stats, b_stats, "bound stats diverged at {} threads", threads);
         }
     }
 
@@ -107,7 +121,7 @@ proptest! {
     /// therefore the same parked worker pool) answering the same batch
     /// three times in a row — the `tkdc-serve` request pattern — returns
     /// identical labels and statistics every time, and they match a
-    /// fresh scoped-spawn run.
+    /// serial run.
     #[test]
     fn pool_reuse_is_result_invariant(
         seed in any::<u64>(),
@@ -123,15 +137,15 @@ proptest! {
             }
             m
         };
-        let (scoped, sc_stats) = clf
-            .classify_batch_with(&queries, ExecPolicy::ScopedSpawn { threads: Some(4) })
-            .expect("scoped");
+        let (serial, s_stats) = clf
+            .classify_batch_with(&queries, ExecPolicy::Serial)
+            .expect("serial");
         for batch in 0..3 {
             let (pooled, p_stats) = clf
                 .classify_batch_with(&queries, ExecPolicy::with_threads(4))
                 .expect("pooled");
-            prop_assert_eq!(&scoped, &pooled, "pool batch {} diverged from scoped", batch);
-            prop_assert_eq!(sc_stats, p_stats, "pool stats {} diverged from scoped", batch);
+            prop_assert_eq!(&serial, &pooled, "pool batch {} diverged from serial", batch);
+            prop_assert_eq!(s_stats, p_stats, "pool stats {} diverged from serial", batch);
         }
     }
 
@@ -191,6 +205,77 @@ proptest! {
             prop_assert_eq!(&s_report.rounds, &p_report.rounds);
             prop_assert_eq!(s_report.backoffs, p_report.backoffs);
             prop_assert_eq!(s_report.stats, p_report.stats);
+        }
+    }
+}
+
+/// Rows of an N(0, I₂) sample drawn from `seed` (the generator the
+/// pinned threshold bits below were recorded with).
+fn normal_2d(n: usize, seed: u64) -> Matrix {
+    let mut rng = Rng::seed_from(seed);
+    let mut m = Matrix::with_cols(2);
+    for _ in 0..n {
+        m.push_row(&[rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)])
+            .unwrap();
+    }
+    m
+}
+
+/// The unweighted tree fit end to end: the bootstrap, the reused
+/// full-data tree and the training-density pass all run on the pool, and
+/// every output is bit-identical at every thread count. The model's
+/// index is exactly a fresh build over the data, and the thresholds
+/// equal the bits recorded before the fit moved onto the pool (when it
+/// used a per-phase scoped scheduler and built the full tree twice).
+#[test]
+fn unweighted_fit_bit_identical_across_threads() {
+    // Second case: the bootstrap backs off at `r == n` (rounds end
+    // `[…, 900, 900]`), so the retry reuses the full-data tree.
+    let cases = [
+        (gaussian_blob(3000, 2, 251), 7, 0x3f57_d766_346d_d2c2_u64, 1),
+        (normal_2d(900, 188), 188, 0x3f50_e2ff_f4fa_2059_u64, 2),
+    ];
+    for (data, seed, pinned_bits, full_rounds) in cases {
+        let params = Params::default().with_seed(seed);
+        let serial = Classifier::fit_with(&data, &params, ExecPolicy::Serial).expect("serial fit");
+        let s = serial.fit_report();
+        assert_eq!(serial.threshold().to_bits(), pinned_bits, "seed {seed}");
+        let n = data.rows();
+        let at_n = s.bootstrap.rounds.iter().filter(|&&r| r == n).count();
+        assert_eq!(at_n, full_rounds, "seed {seed}: {:?}", s.bootstrap.rounds);
+
+        let fresh = KdTree::build(&data, params.leaf_size, params.opts.split_rule()).expect("tree");
+        let tree = serial.tree().expect("tree backend");
+        assert!(
+            tree.to_raw_parts() == fresh.to_raw_parts(),
+            "seed {seed}: model tree differs"
+        );
+
+        for threads in [2usize, 4, 8] {
+            let par = Classifier::fit_with(&data, &params, ExecPolicy::with_threads(threads))
+                .expect("parallel fit");
+            let p = par.fit_report();
+            let at = format!("seed {seed}, {threads} threads");
+            assert_eq!(
+                serial.threshold().to_bits(),
+                par.threshold().to_bits(),
+                "{at}"
+            );
+            assert_eq!(
+                s.threshold_bounds.lower.to_bits(),
+                p.threshold_bounds.lower.to_bits(),
+                "{at}"
+            );
+            assert_eq!(
+                s.threshold_bounds.upper.to_bits(),
+                p.threshold_bounds.upper.to_bits(),
+                "{at}"
+            );
+            assert_eq!(s.training_stats, p.training_stats, "{at}");
+            assert_eq!(s.threshold_reestimates, p.threshold_reestimates, "{at}");
+            assert_eq!(s.bootstrap.rounds, p.bootstrap.rounds, "{at}");
+            assert_eq!(s.bootstrap.backoffs, p.bootstrap.backoffs, "{at}");
+            assert_eq!(s.bootstrap.stats, p.bootstrap.stats, "{at}");
         }
     }
 }

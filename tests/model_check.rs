@@ -7,9 +7,9 @@
 //! reaches, not just the ones a wall-clock test happens to hit.
 //!
 //! Layout per checked unit:
-//! * a harness over the *real* code (engine `run_batch`/`WorkQueue`,
-//!   serve `Metrics`, obs `Registry`, the serve drain protocol), which
-//!   must be violation-free, and
+//! * a harness over the *real* code (the engine `Pool` every fit and
+//!   batch runs on, serve `Metrics`, obs `Registry`, the serve drain
+//!   protocol), which must be violation-free, and
 //! * a `seeded_*` twin carrying a deliberate bug (dropped join,
 //!   weakened orderings, non-atomic counter) that the checker **must**
 //!   flag — proving the harness has teeth, per ISSUE 6's acceptance
@@ -21,96 +21,7 @@ use tkdc_sync::check::{Builder, RaceCell, Violation};
 use tkdc_sync::thread;
 use tkdc_sync::{Arc, Condvar, Mutex};
 
-use tkdc::engine::{run_batch, Pool, WorkQueue};
-
-// ---------------------------------------------------------------------
-// Engine: work-stealing cursor + index-order reassembly
-// ---------------------------------------------------------------------
-
-/// The all-Relaxed cursor protocol of `WorkQueue` plus `run_batch`'s
-/// join-then-reassemble step: output and summed worker state must be
-/// identical to the serial run under every interleaving.
-#[test]
-fn engine_cursor_run_batch_matches_serial() {
-    let mut b = Builder::new();
-    // The full tree for two workers over three guided-grain pulls is
-    // large; a preemption bound of 2 (the CHESS sweet spot) keeps the
-    // run in seconds while still covering every two-switch schedule.
-    b.preemption_bound = Some(2);
-    b.max_iterations = 50_000;
-    let report = b.check(|| {
-        let work = |i: usize, acc: &mut u64| -> tkdc_common::error::Result<usize> {
-            *acc += 1;
-            Ok(i * 10)
-        };
-        let (out, states) = run_batch(3, 2, || 0u64, work).unwrap();
-        assert_eq!(out, vec![0, 10, 20]);
-        assert_eq!(states.iter().sum::<u64>(), 3);
-    });
-    assert!(
-        report.violation.is_none(),
-        "engine run_batch violation: {:?}",
-        report.violation
-    );
-}
-
-/// Two threads pulling from one `WorkQueue` must partition the index
-/// space exactly — no index dropped, none handed out twice — in every
-/// interleaving of the Relaxed load/CAS pairs.
-#[test]
-fn engine_cursor_ranges_are_disjoint_and_cover() {
-    let report = Builder::new().check(|| {
-        let q = Arc::new(WorkQueue::new(2, 2));
-        let puller = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(r) = q.next_range() {
-                    got.extend(r);
-                }
-                got
-            })
-        };
-        let mut mine = Vec::new();
-        while let Some(r) = q.next_range() {
-            mine.extend(r);
-        }
-        let other = puller.join().unwrap();
-        let mut all: Vec<usize> = mine.into_iter().chain(other).collect();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1], "indices dropped or duplicated");
-    });
-    assert!(
-        report.violation.is_none(),
-        "work queue violation: {:?}",
-        report.violation
-    );
-    assert!(report.complete, "exploration should finish for 2x2 queue");
-}
-
-/// Seeded bug (engine): `run_batch` publishes worker segments by
-/// *joining* each worker before reading its output. This twin drops the
-/// join — the checker must report the resulting write/read race,
-/// proving the harness would catch a lost-join regression.
-#[test]
-fn seeded_engine_dropped_join_is_detected() {
-    let report = Builder::new().check(|| {
-        let segment = Arc::new(RaceCell::new(Vec::<usize>::new()));
-        let worker = {
-            let segment = Arc::clone(&segment);
-            thread::spawn(move || segment.with_mut(|s| s.push(1)))
-        };
-        // BUG under test: reading the segment without `worker.join()`.
-        let n = segment.with(|s| s.len());
-        assert!(n <= 1);
-        drop(worker);
-    });
-    assert!(
-        matches!(report.violation, Some(Violation::DataRace { .. })),
-        "dropped join must surface as a data race, got {:?}",
-        report.violation
-    );
-}
+use tkdc::engine::Pool;
 
 // ---------------------------------------------------------------------
 // Engine: persistent pool park/unpark protocol
@@ -120,9 +31,9 @@ fn seeded_engine_dropped_join_is_detected() {
 /// condvar park, job publication + wakeup, chunked deque stealing,
 /// completion signalling on `done_cv`, and the shutdown/join drain in
 /// `Drop`. Results must match the serial run and no schedule may
-/// deadlock — this is the harness that makes `ExecPolicy::Parallel`'s
-/// new scheduler model-checkable, per the tentpole's requirement that
-/// the pool stay on the `tkdc-sync` facade.
+/// deadlock. The pool is the only scheduler: every parallel fit phase
+/// (bootstrap rounds, training-density pass) and every batch runs on
+/// it, so this harness covers all of them.
 #[test]
 fn pool_park_unpark_batch_matches_serial() {
     let mut b = Builder::new();

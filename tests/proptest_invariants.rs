@@ -8,7 +8,7 @@
 //!   under any `ExecPolicy`, merges to the whole batch's `QueryStats`,
 //! * quantile estimates matching full sorts.
 
-use tkdc_sync::OnceLock;
+use tkdc_sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 use tkdc::bound::DensityBounder;
@@ -401,16 +401,19 @@ proptest! {
         let (_, whole) = clf
             .classify_batch_with(queries, ExecPolicy::Serial)
             .unwrap();
-        for policy in [
-            ExecPolicy::Serial,
-            ExecPolicy::Parallel { threads: Some(threads) },
-            ExecPolicy::StaticChunked { threads: Some(threads) },
-        ] {
+        for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { threads: Some(threads) }] {
             let (_, a) = clf.classify_batch_with(&first, policy).unwrap();
             let (_, b) = clf.classify_batch_with(&rest, policy).unwrap();
             let mut merged = a;
             merged.merge(&b);
             prop_assert_eq!(merged, whole, "policy {:?}, split {}", policy, split);
         }
+        // The zero-copy entry point at the same thread count.
+        let policy = ExecPolicy::Parallel { threads: Some(threads) };
+        let (_, a) = clf.classify_batch_shared(Arc::new(first), policy).unwrap();
+        let (_, b) = clf.classify_batch_shared(Arc::new(rest), policy).unwrap();
+        let mut merged = a;
+        merged.merge(&b);
+        prop_assert_eq!(merged, whole, "shared {:?}, split {}", policy, split);
     }
 }

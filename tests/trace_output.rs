@@ -12,16 +12,16 @@
 //! * the JSONL serialization carries the `tkdc-trace/v1` schema tag on
 //!   every line.
 
-use tkdc_sync::OnceLock;
+use tkdc_sync::{Arc, OnceLock};
 
-use tkdc::{Classifier, ExecPolicy, Params, QueryScratch, TraceWriter, TRACE_SCHEMA};
+use tkdc::{Classifier, ExecPolicy, Params, QueryScratch, Spans, TraceWriter, TRACE_SCHEMA};
 use tkdc_common::{Matrix, Rng};
 
 /// One fitted classifier + a query mix (dense core, ε-band shell, far
 /// tail) shared by every test in this file. Fixed seed: the goldens
 /// below compare exact bit patterns.
-fn fixture() -> &'static (Classifier, Matrix) {
-    static FIXTURE: OnceLock<(Classifier, Matrix)> = OnceLock::new();
+fn fixture() -> &'static (Classifier, Arc<Matrix>) {
+    static FIXTURE: OnceLock<(Classifier, Arc<Matrix>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let mut rng = Rng::seed_from(42);
         let mut data = Matrix::with_cols(2);
@@ -39,8 +39,18 @@ fn fixture() -> &'static (Classifier, Matrix) {
             };
             queries.push_row(&row).unwrap();
         }
-        (clf, queries)
+        (clf, Arc::new(queries))
     })
+}
+
+/// Traced classification of the shared queries, stage spans off.
+fn classify_traced(
+    clf: &Classifier,
+    queries: &Arc<Matrix>,
+    policy: ExecPolicy,
+    every: u64,
+) -> tkdc_common::Result<(Vec<tkdc::Label>, tkdc::QueryStats, Vec<tkdc::QueryTrace>)> {
+    clf.classify_batch_traced_spanned(Arc::clone(queries), policy, every, &Spans::off())
 }
 
 #[test]
@@ -55,9 +65,9 @@ fn traces_are_thread_invariant_and_sum_to_query_stats() {
         ExecPolicy::Serial,
         ExecPolicy::with_threads(2),
         ExecPolicy::with_threads(4),
-        ExecPolicy::StaticChunked { threads: Some(3) },
+        ExecPolicy::Parallel { threads: Some(3) },
     ] {
-        let (labels, stats, traces) = clf.classify_batch_traced(queries, policy, 1).unwrap();
+        let (labels, stats, traces) = classify_traced(clf, queries, policy, 1).unwrap();
         assert_eq!(labels, ref_labels, "{policy:?}: labels diverged");
         assert_eq!(stats, ref_stats, "{policy:?}: stats diverged");
         assert_eq!(traces.len(), queries.rows());
@@ -97,7 +107,7 @@ fn traces_are_thread_invariant_and_sum_to_query_stats() {
 fn sampling_selects_every_nth_query_at_any_thread_count() {
     let (clf, queries) = fixture();
     for policy in [ExecPolicy::Serial, ExecPolicy::with_threads(4)] {
-        let (_, _, traces) = clf.classify_batch_traced(queries, policy, 7).unwrap();
+        let (_, _, traces) = classify_traced(clf, queries, policy, 7).unwrap();
         let indices: Vec<u64> = traces.iter().map(|t| t.query).collect();
         let expected: Vec<u64> = (0..queries.rows() as u64).filter(|i| i % 7 == 0).collect();
         assert_eq!(indices, expected, "{policy:?}");
@@ -111,17 +121,19 @@ fn tracing_off_or_sampled_changes_no_results() {
     let policy = ExecPolicy::with_threads(2);
     let (ref_labels, ref_stats) = clf.classify_batch_with(queries, policy).unwrap();
     // every = 0: tracer armed but inert.
-    let (labels, stats, traces) = clf.classify_batch_traced(queries, policy, 0).unwrap();
+    let (labels, stats, traces) = classify_traced(clf, queries, policy, 0).unwrap();
     assert_eq!(labels, ref_labels);
     assert_eq!(stats, ref_stats);
     assert!(traces.is_empty());
     // Sparse sampling: same results, fewer traces.
-    let (labels, stats, _) = clf.classify_batch_traced(queries, policy, 13).unwrap();
+    let (labels, stats, _) = classify_traced(clf, queries, policy, 13).unwrap();
     assert_eq!(labels, ref_labels);
     assert_eq!(stats, ref_stats);
 
     let (ref_bounds, ref_bstats) = clf.bound_density_batch_with(queries, policy).unwrap();
-    let (bounds, bstats, _) = clf.bound_density_batch_traced(queries, policy, 13).unwrap();
+    let (bounds, bstats, _) = clf
+        .bound_density_batch_traced(Arc::clone(queries), policy, 13)
+        .unwrap();
     assert_eq!(bstats, ref_bstats);
     for (a, b) in bounds.iter().zip(&ref_bounds) {
         assert_eq!(a.lower.to_bits(), b.lower.to_bits());
@@ -134,7 +146,7 @@ fn tracing_off_or_sampled_changes_no_results() {
 fn trace_final_bounds_match_bound_density_bitwise() {
     let (clf, queries) = fixture();
     let (bounds, _, traces) = clf
-        .bound_density_batch_traced(queries, ExecPolicy::with_threads(4), 1)
+        .bound_density_batch_traced(Arc::clone(queries), ExecPolicy::with_threads(4), 1)
         .unwrap();
     assert_eq!(traces.len(), bounds.len());
     let mut scratch = QueryScratch::new();
@@ -161,9 +173,7 @@ fn trace_final_bounds_match_bound_density_bitwise() {
 #[test]
 fn jsonl_stream_is_schema_tagged_and_line_per_query() {
     let (clf, queries) = fixture();
-    let (_, _, traces) = clf
-        .classify_batch_traced(queries, ExecPolicy::Serial, 1)
-        .unwrap();
+    let (_, _, traces) = classify_traced(clf, queries, ExecPolicy::Serial, 1).unwrap();
     let mut writer = TraceWriter::new(Vec::new());
     writer.write_all(&traces).unwrap();
     let text = String::from_utf8(writer.into_inner()).unwrap();
