@@ -8,7 +8,9 @@
 //! * **compression** — input points vs coreset points, plus the
 //!   builder's resident-memory high-water mark;
 //! * **fit / classify speedup** — wall time of the full-data fit and
-//!   batch classify vs the compact+fit and classify on the coreset;
+//!   batch classify vs the compact+fit and classify on the coreset
+//!   (each classify time is the best of 5 calls, so one cold call does
+//!   not stand for the batch);
 //! * **label agreement** — over a fresh query batch, how the coreset
 //!   model's labels compare with the full-data model's. The contract
 //!   under test: wherever the coreset model *certifies* (HIGH/LOW), it
@@ -42,6 +44,21 @@ fn jf(v: f64) -> String {
 
 fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
+}
+
+/// Calls per timed classify batch; the fastest one is reported.
+const CLASSIFY_REPS: usize = 5;
+
+/// The result of the last of [`CLASSIFY_REPS`] calls of `f` and the
+/// fastest call's wall time.
+fn best_of<T>(mut f: impl FnMut() -> T) -> (T, Duration) {
+    let (mut out, mut best) = time(&mut f);
+    for _ in 1..CLASSIFY_REPS {
+        let (o, t) = time(&mut f);
+        out = o;
+        best = best.min(t);
+    }
+    (out, best)
 }
 
 fn main() {
@@ -116,12 +133,12 @@ fn main() {
     // Shared once, so the timed batches hand the pool an `Arc` clone
     // rather than a copy of the queries.
     let queries = Arc::new(queries);
-    let ((full_labels, _), full_cls_t) = time(|| {
+    let ((full_labels, _), full_cls_t) = best_of(|| {
         full.classify_batch_shared(Arc::clone(&queries), policy)
             // INVARIANT: bench tooling fails fast
             .expect("full classify")
     });
-    let ((core_labels, _), core_cls_t) = time(|| {
+    let ((core_labels, _), core_cls_t) = best_of(|| {
         compact_clf
             .classify_batch_shared(Arc::clone(&queries), policy)
             .expect("coreset classify") // INVARIANT: bench tooling fails fast

@@ -106,6 +106,27 @@ pub trait DensityBackend: Send + Sync {
         scratch: &mut QueryScratch,
     ) -> DensityBounds;
 
+    /// The ε-folded interval a coreset model labels by: the
+    /// [`Self::bound_density`] interval against `[max(t − ea, 0), t + ea]`,
+    /// widened by `ea` on each side ([`DensityBounds::folded`]).
+    ///
+    /// Only its three-way label (HIGH when `lower > t`, LOW when
+    /// `upper < t`, UNKNOWN otherwise) is contractual. An
+    /// implementation may therefore stop refining as soon as that label
+    /// is decided and return a wider interval than the default, as the
+    /// tree backend does ([`crate::bound::DensityBounder::bound_density_folded`]);
+    /// the default runs [`Self::bound_density`] and folds its result.
+    fn bound_density_folded(
+        &self,
+        x: &[f64],
+        t: f64,
+        ea: f64,
+        scratch: &mut QueryScratch,
+    ) -> DensityBounds {
+        self.bound_density(x, (t - ea).max(0.0), t + ea, scratch)
+            .folded(ea)
+    }
+
     /// Density interval refined to relative precision `rtol`
     /// (`upper − lower ≤ rtol·lower`) where the backend supports
     /// refinement; fixed-budget estimators return the same interval as

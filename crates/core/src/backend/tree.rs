@@ -109,6 +109,16 @@ impl DensityBackend for TreeBackend {
         self.bounder().bound_density(x, t_lo, t_hi, scratch)
     }
 
+    fn bound_density_folded(
+        &self,
+        x: &[f64],
+        t: f64,
+        ea: f64,
+        scratch: &mut QueryScratch,
+    ) -> DensityBounds {
+        self.bounder().bound_density_folded(x, t, ea, scratch)
+    }
+
     fn bound_density_relative(
         &self,
         x: &[f64],

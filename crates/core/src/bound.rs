@@ -7,6 +7,12 @@
 //! either threshold rule (Eq. 9) or the tolerance rule (Eq. 8) fires, or
 //! the tree is exhausted (in which case the bounds coincide with the exact
 //! density up to floating-point error).
+//!
+//! A coreset model widens every certified interval by `ea = ε·K(0)` and
+//! labels three ways (HIGH, LOW, UNKNOWN). Once `ea ≥ t` its LOW and
+//! tolerance cuts collapse to zero, so
+//! [`DensityBounder::bound_density_folded`] adds the exits that stop as
+//! soon as the three-way label of the folded interval is decided.
 
 use crate::params::Optimizations;
 use crate::qstats::{HeapEntry, PruneCause, QueryScratch};
@@ -31,6 +37,39 @@ impl DensityBounds {
     pub fn midpoint(&self) -> f64 {
         0.5 * (self.lower + self.upper)
     }
+
+    /// The interval widened by the coreset error `ea = ε·K(0)` on each
+    /// side, lower clamped at zero, so it certifies the full-data
+    /// density. The identity when `ea` is zero.
+    #[inline]
+    pub fn folded(self, ea: f64) -> Self {
+        let (lower, upper) = fold(self.lower, self.upper, ea);
+        Self {
+            lower,
+            upper,
+            ..self
+        }
+    }
+}
+
+/// `[lower, upper]` widened by `ea` on each side, lower clamped at zero
+/// (unchanged when `ea` is zero).
+#[inline]
+fn fold(lower: f64, upper: f64, ea: f64) -> (f64, f64) {
+    if ea > 0.0 {
+        ((lower - ea).max(0.0), upper + ea)
+    } else {
+        (lower, upper)
+    }
+}
+
+/// The interval a traversal returns for its running bounds: the lower
+/// bound clamped at zero against subtract/add drift, the upper bound
+/// never below it.
+#[inline]
+fn settle(f_lo: f64, f_hi: f64) -> (f64, f64) {
+    let lower = if f_lo < 0.0 { 0.0 } else { f_lo };
+    (lower, f_hi.max(lower))
 }
 
 /// Bound-computation engine borrowing the spatial index and kernel.
@@ -94,17 +133,74 @@ impl<'a> DensityBounder<'a> {
         t_hi: f64,
         scratch: &mut QueryScratch,
     ) -> DensityBounds {
+        if scratch.tracer.is_active() {
+            scratch.tracer.set_thresholds(t_lo, t_hi);
+        }
+        self.traverse(x, scratch, self.cuts(t_lo, t_hi))
+    }
+
+    /// The ε-folded interval of a coreset model's classify query: the
+    /// interval [`Self::bound_density`] returns against `[max(t − ea, 0),
+    /// t + ea]`, widened by [`DensityBounds::folded`]`(ea)`, with extra
+    /// exits that stop the traversal once the three-way label of that
+    /// folded interval is decided. Before each refinement, after
+    /// [`Self::bound_density`]'s own cuts, writing `[lo, hi]` for the
+    /// folded interval of the running bounds:
+    ///
+    /// * `lo > t` — HIGH is certified (`threshold_high`);
+    /// * `hi < t` — LOW is certified (`threshold_low`);
+    /// * the running bounds swapped, `[f_u, f_l]`, fold to an interval
+    ///   that still straddles `t` (`straddle`). `f_l` never rises above
+    ///   today's `f_u` and `f_u` never falls below today's `f_l`, so
+    ///   neither certified label is reachable any more: the query is
+    ///   UNKNOWN.
+    ///
+    /// Each exit applies the label rule (`lower > t` HIGH, `upper < t`
+    /// LOW) to the same fold of the same settled bounds the traversal
+    /// returns. The refinement order is unchanged, so the work is a
+    /// prefix of [`Self::bound_density`]'s on the same query and the
+    /// label is the one its full run gives. The exits are only sound for
+    /// that three-way label: callers that need the density itself inside
+    /// the band keep [`Self::bound_density`]'s stop.
+    pub fn bound_density_folded(
+        &self,
+        x: &[f64],
+        t: f64,
+        ea: f64,
+        scratch: &mut QueryScratch,
+    ) -> DensityBounds {
+        let (t_lo, t_hi) = ((t - ea).max(0.0), t + ea);
+        if scratch.tracer.is_active() {
+            scratch.tracer.set_thresholds(t_lo, t_hi);
+        }
+        let cuts = self.cuts(t_lo, t_hi);
+        self.traverse(x, scratch, |f_lo, f_hi| {
+            cuts(f_lo, f_hi).or_else(|| {
+                let (lo, hi) = settle(f_lo, f_hi);
+                let (lower, upper) = fold(lo, hi, ea);
+                if lower > t {
+                    return Some(PruneCause::ThresholdHigh);
+                }
+                if upper < t {
+                    return Some(PruneCause::ThresholdLow);
+                }
+                let (best_lower, best_upper) = fold(hi, lo, ea);
+                (best_lower <= t && best_upper >= t).then_some(PruneCause::Straddle)
+            })
+        })
+        .folded(ea)
+    }
+
+    /// Algorithm 2's pruning rules against `[t_lo, t_hi]`, checked before
+    /// each refinement in the pseudocode's order: HIGH, LOW, then
+    /// tolerance.
+    fn cuts(&self, t_lo: f64, t_hi: f64) -> impl Fn(f64, f64) -> Option<PruneCause> {
         debug_assert!(t_lo <= t_hi);
         let high_cut = t_hi * (1.0 + self.epsilon);
         let low_cut = t_lo * (1.0 - self.epsilon);
         let tol_cut = self.epsilon * t_lo;
         let opts = self.opts;
-        if scratch.tracer.is_active() {
-            scratch.tracer.set_thresholds(t_lo, t_hi);
-        }
-        // Pruning rules (checked before each refinement, in the
-        // pseudocode's order: HIGH, LOW, then tolerance).
-        self.traverse(x, scratch, |f_lo, f_hi| {
+        move |f_lo, f_hi| {
             if opts.threshold_rule {
                 if f_lo > high_cut {
                     return Some(PruneCause::ThresholdHigh);
@@ -117,7 +213,7 @@ impl<'a> DensityBounder<'a> {
                 return Some(PruneCause::Tolerance);
             }
             None
-        })
+        }
     }
 
     /// Bounds the density with a *relative* tolerance: the traversal
@@ -258,19 +354,15 @@ impl<'a> DensityBounder<'a> {
             }
         };
         scratch.stats.record_outcome(cause);
-        // Guard against tiny negative drift from repeated subtract/add.
-        if f_lo < 0.0 {
-            f_lo = 0.0;
-        }
-        let upper = f_hi.max(f_lo);
+        let (lower, upper) = settle(f_lo, f_hi);
         if scratch.tracer.is_active() {
             // Finish after the clamp so the trace's final bounds equal
             // the returned `DensityBounds` bitwise.
             let stats = scratch.stats;
-            scratch.tracer.finish(cause.as_str(), stats, f_lo, upper);
+            scratch.tracer.finish(cause.as_str(), stats, lower, upper);
         }
         DensityBounds {
-            lower: f_lo,
+            lower,
             upper,
             cause,
         }

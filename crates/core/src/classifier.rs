@@ -939,8 +939,13 @@ impl Model {
         self.check_dim(x)?;
         let t = self.threshold;
         if self.coreset_eps > 0.0 {
-            // ε-folded path: bound_density_with already widens by ε_abs.
-            let b = self.bound_density_with(x, scratch)?;
+            // ε-folded path: the traversal stops once this three-way
+            // label is decided.
+            let ea = self.coreset_eps_abs();
+            let b = self
+                .backend
+                .as_dyn()
+                .bound_density_folded(x, t, ea, scratch);
             return Ok(if b.lower > t {
                 Label::High
             } else if b.upper < t {
@@ -987,12 +992,11 @@ impl Model {
         let ea = self.coreset_eps_abs();
         let t_lo = (self.threshold - ea).max(0.0);
         let t_hi = self.threshold + ea;
-        let mut b = self.backend.as_dyn().bound_density(x, t_lo, t_hi, scratch);
-        if ea > 0.0 {
-            b.lower = (b.lower - ea).max(0.0);
-            b.upper += ea;
-        }
-        Ok(b)
+        Ok(self
+            .backend
+            .as_dyn()
+            .bound_density(x, t_lo, t_hi, scratch)
+            .folded(ea))
     }
 
     /// [`Classifier::bound_density_relative_with`] — see there.
@@ -1003,16 +1007,11 @@ impl Model {
         scratch: &mut QueryScratch,
     ) -> Result<DensityBounds> {
         self.check_dim(x)?;
-        let mut b = self
+        Ok(self
             .backend
             .as_dyn()
-            .bound_density_relative(x, rtol, scratch);
-        let ea = self.coreset_eps_abs();
-        if ea > 0.0 {
-            b.lower = (b.lower - ea).max(0.0);
-            b.upper += ea;
-        }
-        Ok(b)
+            .bound_density_relative(x, rtol, scratch)
+            .folded(self.coreset_eps_abs()))
     }
 
     /// [`Classifier::exact_density`] — see there.
@@ -1042,6 +1041,10 @@ impl Classifier {
     /// [`Label::Unknown`] when the widened interval straddles — so a
     /// certified label from a coreset model holds against the *full*
     /// dataset, never flipping a label the full-data model certifies.
+    /// That traversal ([`DensityBackend::bound_density_folded`]) stops
+    /// as soon as the three-way label is decided, including a `straddle`
+    /// stop once neither HIGH nor LOW is reachable; the label equals the
+    /// folded label of [`Self::bound_density_with`] for less work.
     ///
     /// Under an estimated backend (HBE/RFF) the interval — and therefore
     /// the label — is probabilistic: correct with probability `1 − δ`
@@ -1067,6 +1070,11 @@ impl Classifier {
     /// not just the coreset's. Full-data models are unaffected.
     /// Estimated backends ignore the thresholds and return their
     /// fixed-budget `1 − δ` confidence interval.
+    ///
+    /// This keeps Algorithm 2's stop even for coreset models, where
+    /// [`Self::classify_with`] stops earlier: callers of this method
+    /// (`tkdc density`, serve Density frames) want the density interval
+    /// itself, which the label-only exits would leave wider.
     pub fn bound_density_with(
         &self,
         x: &[f64],

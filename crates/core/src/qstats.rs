@@ -24,6 +24,9 @@ pub enum PruneCause {
     /// A randomized backend (HBE/RFF) answered with a fixed-budget
     /// probabilistic estimate — the bounds are *not* certified.
     Estimated,
+    /// The ε-folded (coreset) interval straddles the threshold and can
+    /// no longer resolve to HIGH or LOW: the query is UNKNOWN.
+    Straddle,
 }
 
 impl PruneCause {
@@ -38,6 +41,7 @@ impl PruneCause {
             PruneCause::Exhausted => "exhausted",
             PruneCause::Grid => "grid",
             PruneCause::Estimated => "estimated",
+            PruneCause::Straddle => "straddle",
         }
     }
 }
@@ -66,6 +70,8 @@ pub struct QueryStats {
     pub exhausted: u64,
     /// Queries answered by a randomized backend's fixed-budget estimate.
     pub estimated: u64,
+    /// ε-folded queries stopped once their label was certainly UNKNOWN.
+    pub straddle: u64,
 }
 
 impl QueryStats {
@@ -79,6 +85,7 @@ impl QueryStats {
             PruneCause::Exhausted => self.exhausted += 1,
             PruneCause::Grid => self.grid_prunes += 1,
             PruneCause::Estimated => self.estimated += 1,
+            PruneCause::Straddle => self.straddle += 1,
         }
     }
 
@@ -95,6 +102,7 @@ impl QueryStats {
         self.tolerance += other.tolerance;
         self.exhausted += other.exhausted;
         self.estimated += other.estimated;
+        self.straddle += other.straddle;
     }
 
     /// Every counter as a `(stable name, value)` pair, in declaration
@@ -102,7 +110,7 @@ impl QueryStats {
     /// through a metrics registry or a JSON renderer. Adding a field to
     /// `QueryStats` must extend this list (the merge proptest counts on
     /// it covering everything).
-    pub fn named_counters(&self) -> [(&'static str, u64); 10] {
+    pub fn named_counters(&self) -> [(&'static str, u64); 11] {
         [
             ("queries", self.queries),
             ("kernel_evals", self.kernel_evals),
@@ -114,6 +122,7 @@ impl QueryStats {
             ("tolerance", self.tolerance),
             ("exhausted", self.exhausted),
             ("estimated", self.estimated),
+            ("straddle", self.straddle),
         ]
     }
 
@@ -216,13 +225,15 @@ mod tests {
         s.record_outcome(PruneCause::Exhausted);
         s.record_outcome(PruneCause::Grid);
         s.record_outcome(PruneCause::Estimated);
-        assert_eq!(s.queries, 6);
+        s.record_outcome(PruneCause::Straddle);
+        assert_eq!(s.queries, 7);
         assert_eq!(s.threshold_high, 1);
         assert_eq!(s.threshold_low, 1);
         assert_eq!(s.tolerance, 1);
         assert_eq!(s.exhausted, 1);
         assert_eq!(s.grid_prunes, 1);
         assert_eq!(s.estimated, 1);
+        assert_eq!(s.straddle, 1);
     }
 
     #[test]
@@ -264,13 +275,14 @@ mod tests {
             tolerance: 8,
             exhausted: 9,
             estimated: 10,
+            straddle: 11,
         };
         let named = a.named_counters();
         let mut seen: Vec<u64> = named.iter().map(|&(_, v)| v).collect();
         seen.sort_unstable();
         assert_eq!(
             seen,
-            (1..=10).collect::<Vec<u64>>(),
+            (1..=11).collect::<Vec<u64>>(),
             "counter missing from named_counters"
         );
         let mut m = a;

@@ -24,9 +24,11 @@
 //!   not finite (e.g. the exhaustive oracle's `+inf` upper threshold).
 //! * `cause` — why the traversal stopped: `threshold_high`,
 //!   `threshold_low`, `tolerance`, `exhausted`, `grid`, `group`
-//!   (dual-tree wholesale classification), or `estimated` (a
+//!   (dual-tree wholesale classification), `estimated` (a
 //!   fixed-budget hbe/rff backend answered; the bounds are
-//!   probabilistic, not certified).
+//!   probabilistic, not certified), or `straddle` (a coreset model's
+//!   ε-folded interval straddles the threshold and can no longer
+//!   resolve either way: the query is UNKNOWN).
 //! * `lower` / `upper` — the final density bounds (`upper` is `null`
 //!   for grid-pruned queries, where only a lower bound exists;
 //!   certified except for `estimated` queries, where the interval

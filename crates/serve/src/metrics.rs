@@ -64,7 +64,7 @@ pub struct Metrics {
     engine: Registry,
     /// Hot-path handles into `engine`, pre-registered in
     /// [`QueryStats::named_counters`] order so folding a batch's stats
-    /// is nine relaxed adds, no name lookups.
+    /// is one relaxed add per counter, no name lookups.
     engine_counters: Vec<(&'static str, Arc<Counter>)>,
     /// Classify label mix, `[high, low, unknown]`, registered in the
     /// same engine registry (names `labels.*`).

@@ -267,6 +267,7 @@ const CAUSES: &[&str] = &[
     "grid",
     "group",
     "estimated",
+    "straddle",
 ];
 
 fn check_uint(obj: &Json, key: &str, errs: &mut Vec<String>) {
@@ -657,6 +658,27 @@ mod tests {
             } else {
                 assert!(!report.is_empty(), "{name} must produce findings");
             }
+        }
+    }
+
+    /// `trace_v1_allow.jsonl.golden` holds one valid query trace per
+    /// prune cause, so a cause the engine can emit but the validator
+    /// rejects (or a fixture line for a cause it no longer knows) fails
+    /// here before it fails on real `--trace-out` output.
+    #[test]
+    fn query_trace_golden_fixture_allows_every_cause() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/golden/trace_v1_allow.jsonl.golden");
+        // INVARIANT: a missing fixture is exactly what this self-test
+        // exists to catch; panic with the path.
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
+        let (n, report) = check_trace_text("trace_v1_allow", &text);
+        assert!(report.is_empty(), "fixture must be clean, got {report:?}");
+        assert_eq!(n, CAUSES.len(), "one line per cause");
+        for cause in CAUSES {
+            let needle = format!("\"cause\":\"{cause}\"");
+            assert!(text.contains(&needle), "no fixture line for `{cause}`");
         }
     }
 }

@@ -209,6 +209,42 @@ proptest! {
     }
 }
 
+/// A coreset-model batch over a fixed mix of held-out, threshold-band
+/// and tail queries: the ε-folded classify path stops UNKNOWN queries by
+/// its `straddle` exit, and labels and every counter, `straddle`
+/// included, are bit-identical at every thread count.
+#[test]
+fn coreset_batch_with_straddles_thread_invariant() {
+    let (_, _, clf) = shared_weighted();
+    let mut rng = Rng::seed_from(233);
+    let mut queries = Matrix::with_cols(2);
+    for i in 0..600 {
+        let spread = [1.0, 2.4, 5.0][i % 3];
+        queries
+            .push_row(&[rng.normal(0.0, spread), rng.normal(0.0, spread)])
+            .unwrap();
+    }
+    let (serial, s_stats) = clf
+        .classify_batch_with(&queries, ExecPolicy::Serial)
+        .expect("serial");
+    let unknown = serial
+        .iter()
+        .filter(|l| matches!(l, tkdc::Label::Unknown))
+        .count() as u64;
+    assert!(s_stats.straddle > 0, "{s_stats:?}");
+    assert!(
+        s_stats.straddle <= unknown,
+        "{s_stats:?} vs {unknown} unknown"
+    );
+    for threads in [2usize, 4, 8] {
+        let (labels, stats) = clf
+            .classify_batch_with(&queries, ExecPolicy::with_threads(threads))
+            .expect("parallel");
+        assert_eq!(labels, serial, "labels diverged at {threads} threads");
+        assert_eq!(stats, s_stats, "stats diverged at {threads} threads");
+    }
+}
+
 /// Rows of an N(0, I₂) sample drawn from `seed` (the generator the
 /// pinned threshold bits below were recorded with).
 fn normal_2d(n: usize, seed: u64) -> Matrix {

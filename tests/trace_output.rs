@@ -103,6 +103,44 @@ fn traces_are_thread_invariant_and_sum_to_query_stats() {
     }
 }
 
+/// A coreset model's UNKNOWN queries end with the `straddle` cause: the
+/// traces name it, per-cause trace counts equal the batch counters, and
+/// the stream is the same at every thread count.
+#[test]
+fn coreset_traces_record_straddle_stops() {
+    let (_, queries) = fixture();
+    let mut rng = Rng::seed_from(43);
+    let mut data = Matrix::with_cols(2);
+    let mut weights = Vec::new();
+    for _ in 0..800 {
+        data.push_row(&[rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)])
+            .unwrap();
+        weights.push(1.0 + 3.0 * rng.next_f64());
+    }
+    let clf = Classifier::fit_weighted(&data, &weights, 0.02, &Params::default()).unwrap();
+    let mut reference = None;
+    for policy in [ExecPolicy::Serial, ExecPolicy::with_threads(4)] {
+        let (labels, stats, traces) = classify_traced(&clf, queries, policy, 1).unwrap();
+        let count = |cause: &str| traces.iter().filter(|t| t.cause == cause).count() as u64;
+        assert!(stats.straddle > 0, "{stats:?}");
+        assert_eq!(count("straddle"), stats.straddle);
+        assert_eq!(count("threshold_high"), stats.threshold_high);
+        assert_eq!(count("threshold_low"), stats.threshold_low);
+        assert_eq!(count("tolerance"), stats.tolerance);
+        assert_eq!(count("exhausted"), stats.exhausted);
+        for (t, label) in traces.iter().zip(&labels) {
+            if t.cause == "straddle" {
+                assert_eq!(*label, tkdc::Label::Unknown, "query {}", t.query);
+            }
+        }
+        let lines: Vec<String> = traces.iter().map(|t| t.to_json_line()).collect();
+        match &reference {
+            None => reference = Some(lines),
+            Some(r) => assert_eq!(&lines, r, "{policy:?}: traces diverged"),
+        }
+    }
+}
+
 #[test]
 fn sampling_selects_every_nth_query_at_any_thread_count() {
     let (clf, queries) = fixture();
