@@ -290,6 +290,7 @@ impl DensityBackend for HbeBackend {
         &self,
         x: &[f64],
         _rtol: f64,
+        _f0: f64,
         scratch: &mut QueryScratch,
     ) -> DensityBounds {
         self.estimate(x, scratch)

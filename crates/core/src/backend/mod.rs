@@ -127,14 +127,18 @@ pub trait DensityBackend: Send + Sync {
             .folded(ea)
     }
 
-    /// Density interval refined to relative precision `rtol`
-    /// (`upper − lower ≤ rtol·lower`) where the backend supports
+    /// Density interval refined to relative precision `rtol` on the
+    /// density corrected by the query's self-contribution `f0`
+    /// (`upper − lower ≤ rtol·(lower − f0)`) where the backend supports
     /// refinement; fixed-budget estimators return the same interval as
-    /// [`Self::bound_density`].
+    /// [`Self::bound_density`]. `f0` is the query's own kernel mass when
+    /// it is a training row (the fit's pass over the rows) and 0
+    /// otherwise; the interval is on the raw density either way.
     fn bound_density_relative(
         &self,
         x: &[f64],
         rtol: f64,
+        f0: f64,
         scratch: &mut QueryScratch,
     ) -> DensityBounds;
 

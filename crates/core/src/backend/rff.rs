@@ -229,6 +229,7 @@ impl DensityBackend for RffBackend {
         &self,
         x: &[f64],
         _rtol: f64,
+        _f0: f64,
         scratch: &mut QueryScratch,
     ) -> DensityBounds {
         self.estimate(x, scratch)

@@ -73,6 +73,20 @@ impl TreeBackend {
         })
     }
 
+    /// [`DensityBounder::bound_training_density`]: the cuts of a fit
+    /// pass over training rows, each carrying its own kernel mass `f0`.
+    pub(crate) fn bound_training_density(
+        &self,
+        x: &[f64],
+        t_lo: f64,
+        t_hi: f64,
+        f0: f64,
+        scratch: &mut QueryScratch,
+    ) -> DensityBounds {
+        self.bounder()
+            .bound_training_density(x, t_lo, t_hi, f0, scratch)
+    }
+
     fn bounder(&self) -> DensityBounder<'_> {
         DensityBounder::new(&self.tree, &self.kernel, self.opts, self.epsilon)
     }
@@ -123,9 +137,11 @@ impl DensityBackend for TreeBackend {
         &self,
         x: &[f64],
         rtol: f64,
+        f0: f64,
         scratch: &mut QueryScratch,
     ) -> DensityBounds {
-        self.bounder().bound_density_relative(x, rtol, scratch)
+        self.bounder()
+            .bound_training_density_relative(x, rtol, f0, scratch)
     }
 
     fn exact_density(&self, x: &[f64], scratch: &mut QueryScratch) -> Option<f64> {

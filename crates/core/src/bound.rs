@@ -133,10 +133,35 @@ impl<'a> DensityBounder<'a> {
         t_hi: f64,
         scratch: &mut QueryScratch,
     ) -> DensityBounds {
+        self.bound_training_density(x, t_lo, t_hi, 0.0, scratch)
+    }
+
+    /// [`Self::bound_density`] for a query that is itself a training
+    /// row whose own kernel mass in the density is `f0` (`K(0)/n` for a
+    /// unit-weight row, `w_i·K(0)/W` for a weighted one). The threshold
+    /// bounds and ε live in the space of the self-corrected density
+    /// `f(x) − f0` that defines `t(p)` (Eq. 1), so the cuts compare the
+    /// corrected running bounds `f_l − f0`, `f_u − f0` against them:
+    ///
+    /// * `f_l > t_hi·(1+ε) + f0` (certain HIGH),
+    /// * `f_u < t_lo·(1−ε) + f0` (certain LOW),
+    /// * `f_u − f_l < ε·t_lo` (tolerance; the width is the same in both
+    ///   spaces).
+    ///
+    /// The returned bounds are still on the raw density `f(x)`. With
+    /// `f0 = 0` this is [`Self::bound_density`], bit for bit.
+    pub fn bound_training_density(
+        &self,
+        x: &[f64],
+        t_lo: f64,
+        t_hi: f64,
+        f0: f64,
+        scratch: &mut QueryScratch,
+    ) -> DensityBounds {
         if scratch.tracer.is_active() {
             scratch.tracer.set_thresholds(t_lo, t_hi);
         }
-        self.traverse(x, scratch, self.cuts(t_lo, t_hi))
+        self.traverse(x, scratch, self.cuts(t_lo, t_hi, f0))
     }
 
     /// The ε-folded interval of a coreset model's classify query: the
@@ -173,7 +198,7 @@ impl<'a> DensityBounder<'a> {
         if scratch.tracer.is_active() {
             scratch.tracer.set_thresholds(t_lo, t_hi);
         }
-        let cuts = self.cuts(t_lo, t_hi);
+        let cuts = self.cuts(t_lo, t_hi, 0.0);
         self.traverse(x, scratch, |f_lo, f_hi| {
             cuts(f_lo, f_hi).or_else(|| {
                 let (lo, hi) = settle(f_lo, f_hi);
@@ -191,13 +216,14 @@ impl<'a> DensityBounder<'a> {
         .folded(ea)
     }
 
-    /// Algorithm 2's pruning rules against `[t_lo, t_hi]`, checked before
-    /// each refinement in the pseudocode's order: HIGH, LOW, then
-    /// tolerance.
-    fn cuts(&self, t_lo: f64, t_hi: f64) -> impl Fn(f64, f64) -> Option<PruneCause> {
+    /// Algorithm 2's pruning rules against `[t_lo, t_hi]` on the density
+    /// corrected by the query's self-contribution `f0` (0 for a query
+    /// that is not a training row), checked before each refinement in
+    /// the pseudocode's order: HIGH, LOW, then tolerance.
+    fn cuts(&self, t_lo: f64, t_hi: f64, f0: f64) -> impl Fn(f64, f64) -> Option<PruneCause> {
         debug_assert!(t_lo <= t_hi);
-        let high_cut = t_hi * (1.0 + self.epsilon);
-        let low_cut = t_lo * (1.0 - self.epsilon);
+        let high_cut = t_hi * (1.0 + self.epsilon) + f0;
+        let low_cut = t_lo * (1.0 - self.epsilon) + f0;
         let tol_cut = self.epsilon * t_lo;
         let opts = self.opts;
         move |f_lo, f_hi| {
@@ -227,13 +253,29 @@ impl<'a> DensityBounder<'a> {
         rtol: f64,
         scratch: &mut QueryScratch,
     ) -> DensityBounds {
+        self.bound_training_density_relative(x, rtol, 0.0, scratch)
+    }
+
+    /// [`Self::bound_density_relative`] for a training row whose own
+    /// kernel mass in the density is `f0`: the relative precision is on
+    /// the self-corrected density, so the traversal stops when
+    /// `f_u − f_l ≤ rtol · (f_l − f0)`. The returned bounds are on the
+    /// raw density. With `f0 = 0` this is
+    /// [`Self::bound_density_relative`], bit for bit.
+    pub fn bound_training_density_relative(
+        &self,
+        x: &[f64],
+        rtol: f64,
+        f0: f64,
+        scratch: &mut QueryScratch,
+    ) -> DensityBounds {
         debug_assert!(rtol >= 0.0);
         if scratch.tracer.is_active() {
             // No threshold is involved; the trace records null bounds.
             scratch.tracer.set_thresholds(f64::NAN, f64::NAN);
         }
         self.traverse(x, scratch, |f_lo, f_hi| {
-            (f_hi - f_lo <= rtol * f_lo).then_some(PruneCause::Tolerance)
+            (f_hi - f_lo <= rtol * (f_lo - f0)).then_some(PruneCause::Tolerance)
         })
     }
 
@@ -243,9 +285,9 @@ impl<'a> DensityBounder<'a> {
     /// exhaustion of the tree always terminates regardless.
     ///
     /// At d ≥ 8 the hot layer is node-bound evaluation, not the leaf
-    /// sum: a held-out d = 8 query costs 573 bound evaluations and 148
-    /// node expansions but only 131 kernel evaluations, so the leaf sum
-    /// is 3.6% of query time (`kernel.share` 0.036 in the benchmark
+    /// sum: a held-out d = 8 query costs 544 bound evaluations and 138
+    /// node expansions but only 58 kernel evaluations, so the leaf sum
+    /// is 3.1% of query time (`kernel.share` 0.031 in the benchmark
     /// ledger). Each child's `(u_min, u_max)` therefore comes from one
     /// fused, branch-free pass over its box
     /// ([`KdTree::scaled_sq_dist_bounds`]).
@@ -637,6 +679,120 @@ mod tests {
             s_loose.stats,
             s_tight.stats
         );
+    }
+
+    /// Leave-one-out (self-corrected) density of each training row, the
+    /// values whose p-quantile is `t(p)`, and that self-contribution.
+    fn loo_densities(data: &Matrix, kernel: &Kernel) -> (Vec<f64>, f64) {
+        let f0 = kernel.max_value() / data.rows() as f64;
+        let loo = data
+            .iter_rows()
+            .map(|r| naive_density(data, kernel, r) - f0)
+            .collect();
+        (loo, f0)
+    }
+
+    #[test]
+    fn training_entry_without_self_contribution_is_bound_density() {
+        let (_, tree, kernel) = setup(1500, 2, 53);
+        let bounder = DensityBounder::new(&tree, &kernel, Optimizations::all(), 0.01);
+        for (t_lo, t_hi) in [(0.0, f64::INFINITY), (1e-3, 1e-3), (5e-3, 2e-2)] {
+            for i in -6..=6 {
+                for j in -6..=6 {
+                    let q = [0.5 * f64::from(i), 0.5 * f64::from(j)];
+                    let (mut s_a, mut s_b) = (QueryScratch::new(), QueryScratch::new());
+                    let a = bounder.bound_density(&q, t_lo, t_hi, &mut s_a);
+                    let b = bounder.bound_training_density(&q, t_lo, t_hi, 0.0, &mut s_b);
+                    assert_eq!(a.lower.to_bits(), b.lower.to_bits(), "{q:?}");
+                    assert_eq!(a.upper.to_bits(), b.upper.to_bits(), "{q:?}");
+                    assert_eq!(a.cause, b.cause, "{q:?}");
+                    assert_eq!(s_a.stats, s_b.stats, "{q:?}");
+                }
+            }
+        }
+        for rtol in [0.1, 0.01] {
+            for i in -6..=6 {
+                let q = [0.5 * f64::from(i), -0.25 * f64::from(i)];
+                let (mut s_a, mut s_b) = (QueryScratch::new(), QueryScratch::new());
+                let a = bounder.bound_density_relative(&q, rtol, &mut s_a);
+                let b = bounder.bound_training_density_relative(&q, rtol, 0.0, &mut s_b);
+                assert_eq!(a.lower.to_bits(), b.lower.to_bits(), "{q:?}");
+                assert_eq!(a.upper.to_bits(), b.upper.to_bits(), "{q:?}");
+                assert_eq!(a.cause, b.cause, "{q:?}");
+                assert_eq!(s_a.stats, s_b.stats, "{q:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn training_row_corrected_interval_sandwiches_leave_one_out_density() {
+        let (data, tree, kernel) = setup(2000, 4, 59);
+        let bounder = DensityBounder::new(&tree, &kernel, Optimizations::all(), 0.01);
+        let (loo, f0) = loo_densities(&data, &kernel);
+        let mut sorted = loo.clone();
+        sorted.sort_by(f64::total_cmp);
+        let t = sorted[sorted.len() / 20];
+        let mut scratch = QueryScratch::new();
+        for (i, row) in data.iter_rows().enumerate() {
+            let b = bounder.bound_training_density(row, t, t, f0, &mut scratch);
+            // Rounding in the running sums is relative to the raw density.
+            let slack = 1e-9 * (loo[i] + f0);
+            assert!(
+                b.lower - f0 <= loo[i] + slack,
+                "row {i}: {b:?} vs {}",
+                loo[i]
+            );
+            assert!(
+                b.upper - f0 >= loo[i] - slack,
+                "row {i}: {b:?} vs {}",
+                loo[i]
+            );
+        }
+        // Both threshold cuts fire on the corrected density: every row's
+        // raw density exceeds f0, and still some are certified LOW.
+        assert!(scratch.stats.threshold_low > 0, "{:?}", scratch.stats);
+        assert!(scratch.stats.threshold_high > 0, "{:?}", scratch.stats);
+    }
+
+    #[test]
+    fn training_row_tolerance_stop_is_eps_t_wide() {
+        let (data, tree, kernel) = setup(2000, 8, 61);
+        let eps = 0.05;
+        let bounder = DensityBounder::new(
+            &tree,
+            &kernel,
+            Optimizations {
+                threshold_rule: false,
+                tolerance_rule: true,
+                ..Optimizations::all()
+            },
+            eps,
+        );
+        let (loo, f0) = loo_densities(&data, &kernel);
+        let mut sorted = loo.clone();
+        sorted.sort_by(f64::total_cmp);
+        let t = sorted[sorted.len() / 20];
+        // The self-contribution dwarfs t at d = 8, so a width of ε·(t + f0)
+        // would leave the corrected midpoint far from the LOO density.
+        assert!(f0 > 10.0 * t, "f0 {f0} vs t {t}");
+        let mut scratch = QueryScratch::new();
+        for (i, row) in data.iter_rows().enumerate().step_by(10) {
+            let b = bounder.bound_training_density(row, t, t, f0, &mut scratch);
+            if b.cause == PruneCause::Exhausted {
+                continue;
+            }
+            assert_eq!(b.cause, PruneCause::Tolerance);
+            let width = (b.upper - f0) - (b.lower - f0);
+            assert!(width < eps * t, "row {i}: width {width} vs ε·t {}", eps * t);
+            let slack = 1e-9 * (loo[i] + f0);
+            assert!(
+                (b.midpoint() - f0 - loo[i]).abs() <= 0.5 * eps * t + slack,
+                "row {i}: midpoint {} vs LOO {}",
+                b.midpoint() - f0,
+                loo[i]
+            );
+        }
+        assert!(scratch.stats.tolerance > 0, "{:?}", scratch.stats);
     }
 
     #[test]

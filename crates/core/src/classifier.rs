@@ -14,7 +14,7 @@
 //! gains nothing from threshold pruning — and compute `t̃(p)` from a
 //! direct training-density pass.
 
-use crate::backend::{BackendImpl, BoundKind, DensityBackend, HbeBackend, RffBackend, TreeBackend};
+use crate::backend::{BackendImpl, BoundKind, HbeBackend, RffBackend, TreeBackend};
 use crate::bound::DensityBounds;
 use crate::engine::{Pool, PoolTelemetry};
 use crate::params::{BackendSpec, Params};
@@ -277,6 +277,10 @@ impl Classifier {
         let _threshold_span = spans.enter("fit.threshold");
 
         // Phase 3: density bounds for every training point → t̃(p).
+        // Each row's cuts act on its self-corrected density f(x) − f₀
+        // (Algorithm 2 against the corrected bounds, f₀ = K(0)/n), the
+        // quantity whose quantile t̃ is; the ε·t_l tolerance is therefore
+        // a width on t's scale, not on f₀'s.
         // If the bootstrap bounds turn out invalid (probability δ), the
         // quantile lands outside them; detect and retry with relaxed
         // bounds (§3.6). The pass walks the tree's own (reordered) rows:
@@ -311,10 +315,7 @@ impl Classifier {
                             return Ok(cell_lower - self_contrib);
                         }
                     }
-                    // Bounds live in corrected space; BoundDensity prunes raw
-                    // densities, so shift by f₀ (see threshold.rs for the
-                    // failure mode this prevents).
-                    let bd = b.bound_density(x, t_lo + self_contrib, t_hi + self_contrib, scratch);
+                    let bd = b.bound_training_density(x, t_lo, t_hi, self_contrib, scratch);
                     Ok((bd.midpoint() - self_contrib).max(0.0))
                 },
             )?;
@@ -1010,7 +1011,7 @@ impl Model {
         Ok(self
             .backend
             .as_dyn()
-            .bound_density_relative(x, rtol, scratch)
+            .bound_density_relative(x, rtol, 0.0, scratch)
             .folded(self.coreset_eps_abs()))
     }
 
@@ -1041,7 +1042,8 @@ impl Classifier {
     /// [`Label::Unknown`] when the widened interval straddles — so a
     /// certified label from a coreset model holds against the *full*
     /// dataset, never flipping a label the full-data model certifies.
-    /// That traversal ([`DensityBackend::bound_density_folded`]) stops
+    /// That traversal
+    /// ([`crate::backend::DensityBackend::bound_density_folded`]) stops
     /// as soon as the three-way label is decided, including a `straddle`
     /// stop once neither HIGH nor LOW is reachable; the label equals the
     /// folded label of [`Self::bound_density_with`] for less work.
@@ -1419,16 +1421,17 @@ impl TrainingRows for (Matrix, Option<Vec<f64>>) {
 }
 
 /// The rest of the weighted and estimated fits once their backend is
-/// built. Every training row's density at relative precision ε — no
-/// bootstrap bounds exist to prune against, and none are needed at
-/// coreset scale — corrected by the row's own mass share `w_i·K(0)/W`
-/// (Eq. 1 generalized to weighted points). `t̃(p)` is the p-quantile of
-/// those densities, weighted when `rows` carries weights: the smallest
-/// density d with Σ{w_i : density_i ≤ d} ≥ p·W, which for unit weights
-/// is the rank-⌈np⌉ order statistic. Neither quantile depends on row
-/// order (the weighted one adds the weights of bit-equal densities in
-/// storage order, which can only change rounding), so `rows` may be
-/// stored in any order.
+/// built. Every training row's density corrected by the row's own mass
+/// share `f₀ = w_i·K(0)/W` (Eq. 1 generalized to weighted points), at
+/// relative precision ε on that corrected density
+/// (`f_u − f_l ≤ ε·(f_l − f₀)`) — no bootstrap bounds exist to prune
+/// against, and none are needed at coreset scale. `t̃(p)` is the
+/// p-quantile of those densities, weighted when `rows` carries weights:
+/// the smallest density d with Σ{w_i : density_i ≤ d} ≥ p·W, which for
+/// unit weights is the rank-⌈np⌉ order statistic. Neither quantile
+/// depends on row order (the weighted one adds the weights of bit-equal
+/// densities in storage order, which can only change rounding), so
+/// `rows` may be stored in any order.
 fn fit_relative<R: TrainingRows>(
     pool: &Pool,
     policy: ExecPolicy,
@@ -1444,8 +1447,10 @@ fn fit_relative<R: TrainingRows>(
     let (b, r) = (backend.clone(), Arc::clone(&rows));
     let (mut densities, training_stats, _) =
         drive_batch(pool, n, policy, &Spans::off(), 0, move |i, scratch| {
-            let bd = b.as_dyn().bound_density_relative(r.row(i), eps, scratch);
             let self_i = r.weights().map_or(1.0, |ws| ws[i]) * k0 / w_total;
+            let bd = b
+                .as_dyn()
+                .bound_density_relative(r.row(i), eps, self_i, scratch);
             Ok((bd.midpoint() - self_i).max(0.0))
         })?;
     let threshold = match rows.weights() {

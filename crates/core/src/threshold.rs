@@ -10,7 +10,7 @@
 //! when a round's densities overflow the previous bounds, the bounds are
 //! multiplicatively backed off and the round retried.
 
-use crate::backend::{DensityBackend, TreeBackend};
+use crate::backend::TreeBackend;
 use crate::classifier::{drive_batch, ExecPolicy};
 use crate::engine::Pool;
 use crate::params::Params;
@@ -109,6 +109,13 @@ pub(crate) struct Bootstrap {
 /// itself with the fit's leaf size, split rule and bandwidth, so the
 /// fit reuses that tree as the model's index instead of building it a
 /// second time.
+///
+/// Each round's queries are rows of its own training subset, so their
+/// cuts act on the self-corrected density `f(x) − K(0)/r` the bounds
+/// are about ([`crate::bound::DensityBounder::bound_training_density`]).
+/// The first round has `t_lo = 0` and `t_hi = ∞`, so nothing prunes it:
+/// it computes the exact densities of its query rows (up to the running
+/// sums' rounding), as Algorithm 3 does with `t_l = 0`.
 pub(crate) fn bootstrap(
     pool: &Pool,
     data: &Matrix,
@@ -175,24 +182,14 @@ pub(crate) fn bootstrap(
         ));
 
         // Density estimates for the query subsample, corrected for the
-        // contribution each training point makes to itself (Eq. 1).
-        // The threshold bounds live in *corrected* density space while
-        // BoundDensity prunes *raw* densities, so shift the bounds by f₀
-        // — otherwise a raw density just above t_hi could be pruned as
-        // certainly-HIGH even though its corrected value belongs inside
-        // the CI ranks, corrupting the order statistics.
-        let raw_lo = t_lo + self_contrib;
-        let raw_hi = if t_hi.is_finite() {
-            t_hi + self_contrib
-        } else {
-            t_hi
-        };
+        // contribution each training point makes to itself (Eq. 1). The
+        // cuts compare that corrected density with the round's bounds.
         // Work-stolen across the pool; densities come back in index
         // order and the per-worker counters merge by summation, so the
         // round is bit-identical to a serial loop for every thread count.
         let (mut densities, round_stats, _) =
             drive_batch(pool, s, policy, &Spans::off(), 0, move |i, sc| {
-                let b = round.bound_density(xs.row(i), raw_lo, raw_hi, sc);
+                let b = round.bound_training_density(xs.row(i), t_lo, t_hi, self_contrib, sc);
                 Ok((b.midpoint() - self_contrib).max(0.0))
             })?;
         stats.merge(&round_stats);

@@ -497,9 +497,9 @@ impl KdTree {
     /// bounding box of node `id` (Eq. 6's distance vectors).
     ///
     /// This is the hot layer of `BoundDensity` at d ≥ 8, not the leaf
-    /// sum: a held-out d = 8 query costs 573 bound evaluations against
-    /// 131 kernel evaluations (`kernel.share` 0.036), and the bootstrap
-    /// runs tens of millions of them. Hence one fused, branch-free pass
+    /// sum: a held-out d = 8 query costs 544 bound evaluations against
+    /// 58 kernel evaluations (`kernel.share` 0.031), and the bootstrap
+    /// runs about 17 million of them. Hence one fused, branch-free pass
     /// over the box ([`bbox::scaled_sq_dist_bounds`]), bit-identical to
     /// the two single-sided distances.
     #[inline]

@@ -168,3 +168,48 @@ fn pca_reduced_mnist_pipeline() {
     let frac = low as f64 / labels.len() as f64;
     assert!((frac - 0.01).abs() < 0.03, "LOW fraction {frac}");
 }
+
+/// N(0, I) rows in `d` dimensions.
+fn standard_normal(n: usize, d: usize, seed: u64) -> Matrix {
+    let mut rng = tkdc_common::Rng::seed_from(seed);
+    let mut m = Matrix::with_cols(d);
+    let mut row = vec![0.0; d];
+    for _ in 0..n {
+        for v in &mut row {
+            *v = rng.normal(0.0, 1.0);
+        }
+        m.push_row(&row).unwrap();
+    }
+    m
+}
+
+#[test]
+fn fitted_threshold_matches_exact_self_corrected_quantile() {
+    // t(p) is the p-quantile of f(x) − K(0)/n over the training rows
+    // (Eq. 1). At d ≥ 4 that self-contribution is hundreds to thousands
+    // of times t, so a fit whose cuts or precision act on the raw
+    // density f(x) overshoots t by a wide margin; the fit's ε cuts on the
+    // corrected density keep t̃ within ε of the exact quantile. The
+    // weighted fit with unit weights and no coreset error is the same
+    // KDE, so it is held to the same bound.
+    let p = 0.01;
+    for (n, d, seed) in [(3000, 8, 71), (5000, 4, 73)] {
+        let data = standard_normal(n, d, seed);
+        let kde = NaiveKde::fit(&data, KernelKind::Gaussian, 1.0).unwrap();
+        let exact = kde.estimate_threshold(&data, p).unwrap();
+        assert!(exact > 0.0, "n={n} d={d}: exact t(p) = {exact}");
+        let params = Params::default().with_p(p).with_seed(seed);
+        let eps = params.epsilon;
+        let fitted = Classifier::fit(&data, &params).unwrap().threshold();
+        let weighted = Classifier::fit_weighted(&data, &vec![1.0; n], 0.0, &params)
+            .unwrap()
+            .threshold();
+        for (name, t) in [("fit", fitted), ("fit_weighted", weighted)] {
+            assert!(
+                (t / exact - 1.0).abs() <= eps,
+                "{name} n={n} d={d}: t̃ = {t} vs exact t(p) = {exact} ({:+.2}%)",
+                100.0 * (t / exact - 1.0)
+            );
+        }
+    }
+}
