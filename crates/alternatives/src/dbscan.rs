@@ -54,7 +54,7 @@ pub fn dbscan(data: &Matrix, params: &DbscanParams) -> Result<(Vec<DbscanLabel>,
 
     // The tree reorders rows; build the neighbor lists in *input* order by
     // querying with input rows and translating hits back via the
-    // reorder permutation (content-stable pairing as in dualtree).
+    // reorder permutation (content-stable pairing).
     // Simpler and exact here: query the tree with each input row and
     // collect neighbor *positions in input order* by matching against a
     // content index is fragile with duplicates — instead run the whole

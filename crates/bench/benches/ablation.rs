@@ -4,7 +4,7 @@
 //! pipeline.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use tkdc::{Classifier, ExecPolicy, Optimizations, Params, QueryScratch};
+use tkdc::{Classifier, Optimizations, Params, QueryScratch};
 use tkdc_common::Rng;
 use tkdc_data::{DatasetKind, DatasetSpec};
 use tkdc_kernel::KernelKind;
@@ -75,59 +75,5 @@ fn bench_kernel_family(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_dual_tree(c: &mut Criterion) {
-    // Two query regimes: clustered (dense center — groups certify) and
-    // dispersed (tail-heavy — per-query pruning already cheap).
-    let data = DatasetSpec {
-        kind: DatasetKind::Gauss { d: 2 },
-        n: 30_000,
-        seed: 7,
-    }
-    .generate()
-    .unwrap();
-    let clf = Classifier::fit(&data, &Params::default().with_seed(8)).unwrap();
-    let mut clustered = tkdc_common::Matrix::with_cols(2);
-    for i in 0..32 {
-        for j in 0..32 {
-            clustered
-                .push_row(&[-0.4 + i as f64 * 0.025, -0.4 + j as f64 * 0.025])
-                .unwrap();
-        }
-    }
-    let mut rng = Rng::seed_from(9);
-    let dispersed = data.sample_rows(1024, &mut rng);
-
-    let mut group = c.benchmark_group("dual_tree_vs_serial");
-    group.sample_size(20);
-    for (name, queries) in [("clustered", &clustered), ("dispersed", &dispersed)] {
-        group.bench_with_input(BenchmarkId::new("serial", name), name, |b, _| {
-            b.iter(|| {
-                black_box(
-                    clf.classify_batch_with(queries, ExecPolicy::Serial)
-                        .unwrap()
-                        .0
-                        .len(),
-                )
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("dual", name), name, |b, _| {
-            b.iter(|| {
-                black_box(
-                    tkdc::classify_batch_dual(&clf, queries, &tkdc::DualTreeConfig::default())
-                        .unwrap()
-                        .0
-                        .len(),
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_split_rule,
-    bench_kernel_family,
-    bench_dual_tree
-);
+criterion_group!(benches, bench_split_rule, bench_kernel_family);
 criterion_main!(benches);

@@ -1,5 +1,5 @@
-//! Accuracy-vs-throughput sweep across the three density backends
-//! (`tree`, `hbe`, `rff`) on gaussian datasets at d ∈ {2, 8, 64},
+//! Accuracy-vs-throughput sweep across the two density backends
+//! (`tree`, `hbe`) on gaussian datasets at d ∈ {2, 8, 64},
 //! written to `BENCH_backend.json` (schema `tkdc-bench-backend/v1`).
 //!
 //! ```text
@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Per dataset, the certified tree backend is fitted first and its
-//! labels are the accuracy reference; `hbe` and `rff` are then fitted
+//! labels are the accuracy reference; `hbe` is then fitted
 //! on the same data with the same `p`/seed and report serial batch
 //! throughput plus the fraction of queries whose label disagrees with
 //! the tree's. The d2/d8 configurations reuse `bench.rs`'s dataset
@@ -26,7 +26,7 @@
 
 use std::fmt::Write as _;
 
-use tkdc::{BackendSpec, Classifier, ExecPolicy, HbeParams, Label, Params, RffParams};
+use tkdc::{BackendSpec, Classifier, ExecPolicy, HbeParams, Label, Params};
 use tkdc_bench::{time, BenchArgs};
 use tkdc_common::{Matrix, Rng};
 use tkdc_data::{DatasetKind, DatasetSpec};
@@ -100,11 +100,8 @@ fn measure(
     let mut rng = Rng::seed_from(seed ^ 0x9E37);
     let query_set = Arc::new(data.sample_rows(q, &mut rng));
 
-    let specs: [(&'static str, BackendSpec); 3] = [
-        ("tree", BackendSpec::Tree),
-        ("hbe", BackendSpec::Hbe(hbe)),
-        ("rff", BackendSpec::Rff(RffParams::default())),
-    ];
+    let specs: [(&'static str, BackendSpec); 2] =
+        [("tree", BackendSpec::Tree), ("hbe", BackendSpec::Hbe(hbe))];
     let mut tree_labels: Vec<Label> = Vec::new();
     let mut tree_qps = 0.0;
     let mut backends = Vec::new();

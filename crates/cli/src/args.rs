@@ -2,7 +2,7 @@
 //! flags, with typed accessors and unknown-flag detection.
 
 use std::collections::HashMap;
-use tkdc::{BackendSpec, HbeParams, Params, RffParams};
+use tkdc::{BackendSpec, HbeParams, Params};
 use tkdc_common::error::{invalid_param, Error, Result};
 use tkdc_coreset::CompactorKind;
 use tkdc_kernel::KernelKind;
@@ -39,7 +39,6 @@ pub const COMMON_FLAGS: &[&str] = &[
     "hbe-hashes",
     "hbe-bucket-width",
     "hbe-samples",
-    "rff-features",
     "span-out",
 ];
 
@@ -241,10 +240,10 @@ impl Flags {
         Ok(params)
     }
 
-    /// Estimator backend from `--backend tree|hbe|rff` plus the
-    /// per-backend tuning flags (`--hbe-*`, `--rff-features`). Flags for
-    /// a backend other than the selected one are rejected so a typo'd
-    /// combination fails loudly instead of silently using defaults.
+    /// Estimator backend from `--backend tree|hbe` plus the HBE tuning
+    /// flags (`--hbe-*`). HBE flags without `--backend hbe` are rejected
+    /// so a typo'd combination fails loudly instead of silently using
+    /// defaults.
     fn backend(&self) -> Result<BackendSpec> {
         let name = self.get("backend").unwrap_or("tree");
         const HBE_FLAGS: &[&str] = &[
@@ -253,26 +252,17 @@ impl Flags {
             "hbe-bucket-width",
             "hbe-samples",
         ];
-        const RFF_FLAGS: &[&str] = &["rff-features"];
-        let stray =
-            |flags: &'static [&'static str]| flags.iter().find(|f| self.get(f).is_some()).copied();
         match name {
             "tree" => {
-                if let Some(f) = stray(HBE_FLAGS).or_else(|| stray(RFF_FLAGS)) {
+                if let Some(f) = HBE_FLAGS.iter().find(|f| self.get(f).is_some()) {
                     return Err(invalid_param(
                         "backend",
-                        format!("`--{f}` requires `--backend hbe|rff`"),
+                        format!("`--{f}` requires `--backend hbe`"),
                     ));
                 }
                 Ok(BackendSpec::Tree)
             }
             "hbe" => {
-                if let Some(f) = stray(RFF_FLAGS) {
-                    return Err(invalid_param(
-                        "backend",
-                        format!("`--{f}` requires `--backend rff`"),
-                    ));
-                }
                 let mut hp = HbeParams::default();
                 if let Some(t) = self.get_u64("hbe-tables")? {
                     hp.tables = t as usize; // CAST: table counts are tiny
@@ -288,22 +278,9 @@ impl Flags {
                 }
                 Ok(BackendSpec::Hbe(hp))
             }
-            "rff" => {
-                if let Some(f) = stray(HBE_FLAGS) {
-                    return Err(invalid_param(
-                        "backend",
-                        format!("`--{f}` requires `--backend hbe`"),
-                    ));
-                }
-                let mut rp = RffParams::default();
-                if let Some(d) = self.get_u64("rff-features")? {
-                    rp.features = d as usize; // CAST: feature counts are small
-                }
-                Ok(BackendSpec::Rff(rp))
-            }
             other => Err(invalid_param(
                 "backend",
-                format!("expected tree|hbe|rff, got `{other}`"),
+                format!("expected tree|hbe, got `{other}`"),
             )),
         }
     }
@@ -405,15 +382,15 @@ mod tests {
             other => panic!("expected hbe, got {other:?}"),
         }
 
-        let f = Flags::parse(
-            &argv(&["--backend", "rff", "--rff-features", "512"]),
-            COMMON_FLAGS,
-        )
-        .unwrap();
-        match f.params().unwrap().backend {
-            BackendSpec::Rff(rp) => assert_eq!(rp.features, 512),
-            other => panic!("expected rff, got {other:?}"),
-        }
+        // The removed rff backend is an unknown choice, and its tuning
+        // flag an unknown flag.
+        let f = Flags::parse(&argv(&["--backend", "rff"]), COMMON_FLAGS).unwrap();
+        let err = f.params().unwrap_err().to_string();
+        assert!(err.contains("expected tree|hbe, got `rff`"), "{err}");
+        let err = Flags::parse(&argv(&["--rff-features", "512"]), COMMON_FLAGS)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("unknown flag `--rff-features`"), "{err}");
     }
 
     #[test]
@@ -423,14 +400,11 @@ mod tests {
         assert!(f.params().is_err());
         // HBE tuning flag without the HBE backend.
         let f = Flags::parse(&argv(&["--hbe-tables", "8"]), COMMON_FLAGS).unwrap();
-        assert!(f.params().is_err());
-        // RFF flag with the HBE backend.
-        let f = Flags::parse(
-            &argv(&["--backend", "hbe", "--rff-features", "256"]),
-            COMMON_FLAGS,
-        )
-        .unwrap();
-        assert!(f.params().is_err());
+        let err = f.params().unwrap_err().to_string();
+        assert!(
+            err.contains("`--hbe-tables` requires `--backend hbe`"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -296,14 +296,14 @@ impl DensityBackend for HbeBackend {
         self.estimate(x, scratch)
     }
 
-    fn exact_density(&self, x: &[f64], scratch: &mut QueryScratch) -> Option<f64> {
+    fn exact_density(&self, x: &[f64], scratch: &mut QueryScratch) -> f64 {
         let mut acc = 0.0;
         for i in 0..self.points.rows() {
             let k = self.kernel.eval_pair(x, self.points.row(i));
             acc += self.weights.as_ref().map(|ws| ws[i]).unwrap_or(1.0) * k;
         }
         scratch.stats.kernel_evals += self.points.rows() as u64; // CAST: row count fits u64
-        Some(acc / self.total_mass)
+        acc / self.total_mass
     }
 }
 
@@ -384,7 +384,7 @@ mod tests {
         let mut rel_err = 0.0f64;
         for i in 0..queries.rows() {
             let q = queries.row(i);
-            let exact = b.exact_density(q, &mut scratch).unwrap();
+            let exact = b.exact_density(q, &mut scratch);
             let est = b.bound_density(q, 0.0, 0.0, &mut scratch);
             if est.lower <= exact && exact <= est.upper {
                 covered += 1;
@@ -419,8 +419,8 @@ mod tests {
         let bw = HbeBackend::build(wtd, Some(weights), kernel, 0.01, HbeParams::default(), 29);
         let mut scratch = QueryScratch::new();
         let q = [0.25, -0.75];
-        let ed = bd.exact_density(&q, &mut scratch).unwrap();
-        let ew = bw.exact_density(&q, &mut scratch).unwrap();
+        let ed = bd.exact_density(&q, &mut scratch);
+        let ew = bw.exact_density(&q, &mut scratch);
         assert!((ed - ew).abs() < 1e-12 * ed.max(1.0), "{ed} vs {ew}");
         // The sampled estimates see identical bucket masses, so both
         // should land near the same density.

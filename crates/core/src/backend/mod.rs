@@ -1,19 +1,17 @@
 //! Pluggable density-estimation backends.
 //!
 //! The classifier core is generic over *how* density bounds are
-//! produced: the paper's certified dual-tree traversal is one strategy
+//! produced: the paper's certified single-tree traversal is one strategy
 //! ([`TreeBackend`]), but in high dimensions its pruning collapses and
 //! randomized estimators win. This module defines the
 //! [`DensityBackend`] contract every estimator implements plus the
-//! three shipped backends:
+//! two shipped backends:
 //!
 //! * [`TreeBackend`] — Algorithm 2's best-first traversal with
 //!   certified bounds (the default; bit-identical to the pre-trait
 //!   classifier).
 //! * [`HbeBackend`] — Charikar–Siminelakis hashing-based estimator:
 //!   E2LSH importance sampling with probabilistic `(ε, δ)` bounds.
-//! * [`RffBackend`] — fixed-budget random-Fourier-feature estimator for
-//!   the Gaussian kernel.
 //!
 //! Bound provenance is explicit: [`BoundKind::Certified`] intervals
 //! hold deterministically, [`BoundKind::Probabilistic`] intervals hold
@@ -22,11 +20,9 @@
 //! never mistake a sampled estimate for a certified answer.
 
 pub mod hbe;
-pub mod rff;
 pub mod tree;
 
 pub use hbe::HbeBackend;
-pub use rff::RffBackend;
 pub use tree::TreeBackend;
 
 use crate::bound::DensityBounds;
@@ -73,7 +69,7 @@ impl BoundKind {
 /// *schedule-invariant*: the result for a query depends only on the
 /// query and the fitted state, never on thread count or batch order.
 pub trait DensityBackend: Send + Sync {
-    /// Stable lowercase backend name (`"tree"`, `"hbe"`, `"rff"`).
+    /// Stable lowercase backend name (`"tree"`, `"hbe"`).
     fn name(&self) -> &'static str;
 
     /// Provenance of the intervals this backend produces.
@@ -143,9 +139,8 @@ pub trait DensityBackend: Send + Sync {
     ) -> DensityBounds;
 
     /// Exhaustive (exact) density of `x` over the retained training
-    /// points, when the backend retains them. `None` for backends that
-    /// persist only sketches (RFF).
-    fn exact_density(&self, x: &[f64], scratch: &mut QueryScratch) -> Option<f64>;
+    /// points.
+    fn exact_density(&self, x: &[f64], scratch: &mut QueryScratch) -> f64;
 }
 
 /// Enum dispatch over the shipped backends. The classifier's model
@@ -157,12 +152,10 @@ pub trait DensityBackend: Send + Sync {
 /// keeps.
 #[derive(Debug, Clone)]
 pub(crate) enum BackendImpl {
-    /// Certified dual-tree traversal.
+    /// Certified single-tree traversal.
     Tree(Arc<TreeBackend>),
     /// Hashing-based estimator.
     Hbe(Arc<HbeBackend>),
-    /// Random-Fourier-feature estimator.
-    Rff(Arc<RffBackend>),
 }
 
 impl BackendImpl {
@@ -171,7 +164,6 @@ impl BackendImpl {
         match self {
             BackendImpl::Tree(b) => &**b,
             BackendImpl::Hbe(b) => &**b,
-            BackendImpl::Rff(b) => &**b,
         }
     }
 

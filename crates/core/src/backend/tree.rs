@@ -1,4 +1,4 @@
-//! The certified dual-tree backend: the paper's Algorithm 2 extracted
+//! The certified single-tree backend: the paper's Algorithm 2 extracted
 //! behind the [`DensityBackend`] trait with zero behavior change.
 
 use super::{BoundKind, DensityBackend};
@@ -144,7 +144,7 @@ impl DensityBackend for TreeBackend {
             .bound_training_density_relative(x, rtol, f0, scratch)
     }
 
-    fn exact_density(&self, x: &[f64], scratch: &mut QueryScratch) -> Option<f64> {
-        Some(self.bounder().exact_density(x, scratch))
+    fn exact_density(&self, x: &[f64], scratch: &mut QueryScratch) -> f64 {
+        self.bounder().exact_density(x, scratch)
     }
 }

@@ -6,15 +6,15 @@
 //! `classify` then answers HIGH/LOW per query via the pruned traversal,
 //! with the grid short-circuiting obvious inliers before any tree work.
 //!
-//! The classifier core is backend-agnostic: the certified dual-tree
+//! The classifier core is backend-agnostic: the certified single-tree
 //! traversal above is the default [`crate::backend::TreeBackend`], but
 //! `Params::backend` can route density queries through the hashing-based
-//! or random-Fourier-feature estimators instead (see [`crate::backend`]).
-//! Estimated backends skip the bootstrap — their fixed per-query budget
-//! gains nothing from threshold pruning — and compute `t̃(p)` from a
-//! direct training-density pass.
+//! estimator instead (see [`crate::backend`]). The estimated backend
+//! skips the bootstrap — its fixed per-query budget gains nothing from
+//! threshold pruning — and computes `t̃(p)` from a direct
+//! training-density pass.
 
-use crate::backend::{BackendImpl, BoundKind, HbeBackend, RffBackend, TreeBackend};
+use crate::backend::{BackendImpl, BoundKind, HbeBackend, TreeBackend};
 use crate::bound::DensityBounds;
 use crate::engine::{Pool, PoolTelemetry};
 use crate::params::{BackendSpec, Params};
@@ -192,9 +192,8 @@ impl Classifier {
     ///
     /// `params.backend` selects the estimator: [`BackendSpec::Tree`]
     /// (default) runs the paper's bootstrap + certified traversal;
-    /// [`BackendSpec::Hbe`] / [`BackendSpec::Rff`] skip the bootstrap
-    /// and take the threshold directly from the estimated training
-    /// densities.
+    /// [`BackendSpec::Hbe`] skips the bootstrap and takes the threshold
+    /// directly from the estimated training densities.
     ///
     /// # Errors
     /// Propagates parameter-validation, empty-input and numeric errors.
@@ -222,7 +221,7 @@ impl Classifier {
         let pool = Pool::new();
         let (model, fit_report) = match params.backend {
             BackendSpec::Tree => Self::fit_tree(&pool, data, params, policy, spans)?,
-            BackendSpec::Hbe(_) | BackendSpec::Rff(_) => {
+            BackendSpec::Hbe(_) => {
                 Self::fit_estimated(&pool, data, None, 0.0, params, policy, spans)?
             }
         };
@@ -358,7 +357,7 @@ impl Classifier {
         Ok((model, fit_report))
     }
 
-    /// The estimated-backend fit (HBE / RFF): build the sketch, estimate
+    /// The estimated-backend fit (HBE): build the sketch, estimate
     /// every training density at the backend's fixed budget, and take
     /// `t̃(p)` as the (weighted) p-quantile of the corrected estimates.
     /// No bootstrap runs — threshold pruning cannot speed up a
@@ -373,9 +372,16 @@ impl Classifier {
         policy: ExecPolicy,
         spans: &Spans,
     ) -> Result<(Model, FitReport)> {
+        // fit_with / fit_weighted_with route Tree elsewhere.
+        let BackendSpec::Hbe(hp) = params.backend else {
+            return Err(invalid_param(
+                "backend",
+                "the tree backend does not take the estimated fit path",
+            ));
+        };
         if let Some(ws) = weights {
             // The tree path catches bad weights in the weighted tree
-            // build; the sketch builds fold weights silently, so check
+            // build; the sketch build folds weights silently, so check
             // here instead.
             if ws.iter().any(|w| !w.is_finite() || *w <= 0.0) {
                 return Err(Error::Numeric(
@@ -401,48 +407,20 @@ impl Classifier {
         let kernel = Kernel::new(params.kernel, h)?;
 
         let build_span = spans.enter("fit.backend_build");
-        let backend = match &params.backend {
-            BackendSpec::Hbe(hp) => BackendImpl::Hbe(Arc::new(HbeBackend::build(
-                data.clone(),
-                weights.map(|ws| ws.to_vec()),
-                kernel,
-                params.delta,
-                *hp,
-                params.seed,
-            ))),
-            BackendSpec::Rff(rp) => BackendImpl::Rff(Arc::new(RffBackend::build(
-                data,
-                weights,
-                kernel,
-                params.delta,
-                *rp,
-                params.seed,
-            ))),
-            // fit_with / fit_weighted_with route Tree elsewhere.
-            BackendSpec::Tree => {
-                return Err(invalid_param(
-                    "backend",
-                    "the tree backend does not take the estimated fit path",
-                ))
-            }
-        };
-
+        let hb = Arc::new(HbeBackend::build(
+            data.clone(),
+            weights.map(|ws| ws.to_vec()),
+            kernel,
+            params.delta,
+            hp,
+            params.seed,
+        ));
         drop(build_span);
         let _threshold_span = spans.enter("fit.threshold");
 
-        // HBE walks the rows it keeps; RFF keeps only a sketch, so its
-        // pass is the one place that copies the training rows.
-        let hbe = match &backend {
-            BackendImpl::Hbe(hb) => Some(Arc::clone(hb)),
-            _ => None,
-        };
-        match hbe {
-            Some(rows) => fit_relative(pool, policy, params, backend, rows, w_total, coreset_eps),
-            None => {
-                let rows = Arc::new((data.clone(), weights.map(<[f64]>::to_vec)));
-                fit_relative(pool, policy, params, backend, rows, w_total, coreset_eps)
-            }
-        }
+        // The training-density pass walks the rows the sketch keeps.
+        let backend = BackendImpl::Hbe(Arc::clone(&hb));
+        fit_relative(pool, policy, params, backend, hb, w_total, coreset_eps)
     }
 
     /// Trains a classifier on a *weighted* dataset — typically a coreset
@@ -531,7 +509,7 @@ impl Classifier {
             BackendSpec::Tree => {
                 Self::fit_weighted_tree(&pool, data, weights, coreset_eps, params, policy, spans)?
             }
-            BackendSpec::Hbe(_) | BackendSpec::Rff(_) => Self::fit_estimated(
+            BackendSpec::Hbe(_) => Self::fit_estimated(
                 &pool,
                 data,
                 Some(weights),
@@ -713,70 +691,6 @@ impl Classifier {
         ))
     }
 
-    /// Reassembles an RFF-backend classifier from persisted parts: the
-    /// feature bank regenerates from the model seed, so only the
-    /// coefficient sketch persists — not the training points.
-    ///
-    /// # Errors
-    /// Fails when the parts are mutually inconsistent or invalid.
-    // The argument list mirrors the persisted v3 record field-for-field;
-    // bundling them into a struct would just rename the format module's
-    // locals.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_loaded_rff(
-        params: Params,
-        kernel: Kernel,
-        coef: Vec<f64>,
-        n: usize,
-        total_mass: f64,
-        threshold: f64,
-        threshold_bounds: ThresholdBounds,
-        coreset_eps: f64,
-    ) -> Result<Self> {
-        params.validate()?;
-        let BackendSpec::Rff(rp) = params.backend else {
-            return Err(Error::Numeric(
-                "loaded rff model carries a non-rff backend spec".into(),
-            ));
-        };
-        if coef.len() != rp.features {
-            return Err(Error::DimensionMismatch {
-                expected: rp.features,
-                actual: coef.len(),
-            });
-        }
-        if n == 0 {
-            return Err(Error::EmptyInput("loaded training count"));
-        }
-        if !total_mass.is_finite() || total_mass <= 0.0 {
-            return Err(Error::Numeric(
-                "loaded total mass is not a positive weight sum".into(),
-            ));
-        }
-        if coef.iter().any(|c| !c.is_finite()) {
-            return Err(Error::Numeric(
-                "loaded rff coefficients contain non-finite values".into(),
-            ));
-        }
-        Self::check_loaded_threshold(threshold, coreset_eps)?;
-        let backend = BackendImpl::Rff(Arc::new(RffBackend::from_parts(
-            kernel,
-            params.delta,
-            rp,
-            params.seed,
-            coef,
-            n,
-            total_mass,
-        )));
-        Ok(Self::from_loaded_backend(
-            params,
-            backend,
-            threshold,
-            threshold_bounds,
-            coreset_eps,
-        ))
-    }
-
     /// Shared threshold/ε sanity checks for every load path.
     fn check_loaded_threshold(threshold: f64, coreset_eps: f64) -> Result<()> {
         if !threshold.is_finite() || threshold < 0.0 {
@@ -866,7 +780,7 @@ impl Classifier {
     }
 
     /// Stable lowercase name of the active backend
-    /// (`"tree"`, `"hbe"`, `"rff"`).
+    /// (`"tree"`, `"hbe"`).
     pub fn backend_name(&self) -> &'static str {
         self.model.backend.as_dyn().name()
     }
@@ -1019,15 +933,7 @@ impl Model {
     fn exact_density(&self, x: &[f64]) -> Result<f64> {
         self.check_dim(x)?;
         let mut scratch = QueryScratch::new();
-        self.backend
-            .as_dyn()
-            .exact_density(x, &mut scratch)
-            .ok_or_else(|| {
-                Error::Numeric(format!(
-                    "the {} backend does not retain training points; exact density is unavailable",
-                    self.backend.as_dyn().name()
-                ))
-            })
+        Ok(self.backend.as_dyn().exact_density(x, &mut scratch))
     }
 }
 
@@ -1048,7 +954,7 @@ impl Classifier {
     /// stop once neither HIGH nor LOW is reachable; the label equals the
     /// folded label of [`Self::bound_density_with`] for less work.
     ///
-    /// Under an estimated backend (HBE/RFF) the interval — and therefore
+    /// Under an estimated backend (HBE) the interval — and therefore
     /// the label — is probabilistic: correct with probability `1 − δ`
     /// per query (see [`Classifier::bound_kind`]).
     pub fn classify_with(&self, x: &[f64], scratch: &mut QueryScratch) -> Result<Label> {
@@ -1108,8 +1014,7 @@ impl Classifier {
     /// within `±coreset_eps·K(0)` of the returned value.
     ///
     /// # Errors
-    /// Fails for backends that persist only sketches and not the
-    /// training points themselves (RFF).
+    /// Fails when `x` has the wrong dimension or a NaN coordinate.
     pub fn exact_density(&self, x: &[f64]) -> Result<f64> {
         self.model.exact_density(x)
     }
@@ -1410,16 +1315,6 @@ impl TrainingRows for HbeBackend {
     }
 }
 
-/// A copy of the input rows, for the RFF backend, which keeps none.
-impl TrainingRows for (Matrix, Option<Vec<f64>>) {
-    fn row(&self, i: usize) -> &[f64] {
-        self.0.row(i)
-    }
-    fn weights(&self) -> Option<&[f64]> {
-        self.1.as_deref()
-    }
-}
-
 /// The rest of the weighted and estimated fits once their backend is
 /// built. Every training row's density corrected by the row's own mass
 /// share `f₀ = w_i·K(0)/W` (Eq. 1 generalized to weighted points), at
@@ -1526,7 +1421,7 @@ fn weighted_quantile(values: &[f64], weights: &[f64], p: f64) -> Result<f64> {
 #[allow(clippy::float_cmp)] // exact-value asserts are deliberate in tests
 mod tests {
     use super::*;
-    use crate::params::{HbeParams, Optimizations, RffParams};
+    use crate::params::{HbeParams, Optimizations};
     use tkdc_common::Rng;
 
     fn gaussian_blob(n: usize, d: usize, seed: u64) -> Matrix {
@@ -1544,10 +1439,6 @@ mod tests {
 
     fn hbe_params() -> Params {
         Params::default().with_backend(BackendSpec::Hbe(HbeParams::default()))
-    }
-
-    fn rff_params() -> Params {
-        Params::default().with_backend(BackendSpec::Rff(RffParams::default()))
     }
 
     #[test]
@@ -2017,43 +1908,23 @@ mod tests {
     }
 
     #[test]
-    fn rff_backend_classifies_center_and_tail() {
-        let data = gaussian_blob(2000, 2, 227);
-        let clf = Classifier::fit(&data, &rff_params()).unwrap();
-        assert_eq!(clf.backend_name(), "rff");
-        assert!(!clf.bound_kind().is_certified());
-        assert!(clf.tree().is_none());
-        assert!(clf.threshold() > 0.0);
-        assert_eq!(clf.classify(&[0.0, 0.0]).unwrap(), Label::High);
-        assert_eq!(clf.classify(&[8.0, 8.0]).unwrap(), Label::Low);
-        // RFF persists only the coefficient sketch.
-        assert!(clf.exact_density(&[0.0, 0.0]).is_err());
-    }
-
-    #[test]
     fn estimated_backends_are_thread_invariant() {
         let data = gaussian_blob(1200, 3, 229);
-        for params in [hbe_params(), rff_params()] {
-            let serial = Classifier::fit(&data, &params).unwrap();
-            let queries = gaussian_blob(300, 3, 233);
-            let (s_labels, s_stats) = serial
-                .classify_batch_with(&queries, ExecPolicy::Serial)
+        let params = hbe_params();
+        let serial = Classifier::fit(&data, &params).unwrap();
+        let queries = gaussian_blob(300, 3, 233);
+        let (s_labels, s_stats) = serial
+            .classify_batch_with(&queries, ExecPolicy::Serial)
+            .unwrap();
+        for threads in [2, 4, 8] {
+            let par =
+                Classifier::fit_with(&data, &params, ExecPolicy::with_threads(threads)).unwrap();
+            assert_eq!(serial.threshold(), par.threshold(), "threads={threads}");
+            let (p_labels, p_stats) = serial
+                .classify_batch_with(&queries, ExecPolicy::with_threads(threads))
                 .unwrap();
-            for threads in [2, 4, 8] {
-                let par = Classifier::fit_with(&data, &params, ExecPolicy::with_threads(threads))
-                    .unwrap();
-                assert_eq!(
-                    serial.threshold(),
-                    par.threshold(),
-                    "{} threads={threads}",
-                    params.backend.name()
-                );
-                let (p_labels, p_stats) = serial
-                    .classify_batch_with(&queries, ExecPolicy::with_threads(threads))
-                    .unwrap();
-                assert_eq!(s_labels, p_labels, "threads={threads}");
-                assert_eq!(s_stats, p_stats, "threads={threads}");
-            }
+            assert_eq!(s_labels, p_labels, "threads={threads}");
+            assert_eq!(s_stats, p_stats, "threads={threads}");
         }
     }
 

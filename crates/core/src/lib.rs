@@ -64,7 +64,6 @@
 pub mod backend;
 pub mod bound;
 pub mod classifier;
-pub mod dualtree;
 pub mod engine;
 pub mod llr;
 pub mod model_io;
@@ -74,13 +73,10 @@ pub mod span;
 pub mod threshold;
 pub mod trace;
 
-pub use backend::{BoundKind, DensityBackend, HbeBackend, RffBackend, TreeBackend};
+pub use backend::{BoundKind, DensityBackend, HbeBackend, TreeBackend};
 pub use classifier::{Classifier, ExecPolicy, Label};
-#[cfg(feature = "obs")]
-pub use dualtree::classify_batch_dual_traced;
-pub use dualtree::{classify_batch_dual, DualTreeConfig, DualTreeStats};
 pub use llr::{llr_bounds, llr_bounds_with_rtol, LlrBounds};
-pub use params::{BackendSpec, BootstrapParams, HbeParams, Optimizations, Params, RffParams};
+pub use params::{BackendSpec, BootstrapParams, HbeParams, Optimizations, Params};
 pub use qstats::{PruneCause, QueryScratch, QueryStats};
 pub use span::Spans;
 pub use threshold::ThresholdBounds;

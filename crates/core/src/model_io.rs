@@ -19,16 +19,16 @@
 //! version-1 files still load (with unit weights and ε = 0).
 //!
 //! Version-3 files insert a one-byte backend tag right after the
-//! version field (`0` = tree, `1` = hbe, `2` = rff). Tag 0 keeps the
-//! complete version-2 layout after the tag. Tags 1 and 2 persist the
-//! estimator's parameters plus its payload — points and weights for
-//! HBE (hash tables rebuild deterministically from the seed), the
-//! coefficient sketch for RFF (the feature bank regenerates from the
-//! seed). Version-1/2 files carry no tag and load as tree models.
+//! version field (`0` = tree, `1` = hbe). Tag 0 keeps the complete
+//! version-2 layout after the tag. Tag 1 persists the estimator's
+//! parameters plus its points and weights (hash tables rebuild
+//! deterministically from the seed). Tag 2 belonged to the removed
+//! random-Fourier-feature backend and loads to a named error; version-1/2
+//! files carry no tag and load as tree models.
 
-use crate::backend::{BackendImpl, DensityBackend};
+use crate::backend::BackendImpl;
 use crate::classifier::Classifier;
-use crate::params::{BackendSpec, BootstrapParams, HbeParams, Optimizations, Params, RffParams};
+use crate::params::{BackendSpec, BootstrapParams, HbeParams, Optimizations, Params};
 use crate::threshold::ThresholdBounds;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -40,6 +40,9 @@ const MAGIC: &[u8; 4] = b"TKDC";
 const VERSION: u32 = 3;
 /// Oldest format version this build still reads.
 const MIN_VERSION: u32 = 1;
+/// Version-3 backend tag of the removed random-Fourier-feature backend;
+/// reserved so such files fail with a named error.
+const RFF_BACKEND_TAG: u8 = 2;
 
 /// The current model-file format version, exposed so compatibility
 /// tooling (and negative tests) can construct version probes without
@@ -136,7 +139,6 @@ pub fn save_model_to(clf: &Classifier, writer: impl Write) -> Result<()> {
     w.byte(match backend {
         BackendImpl::Tree(_) => 0,
         BackendImpl::Hbe(_) => 1,
-        BackendImpl::Rff(_) => 2,
     })?;
 
     // Parameters.
@@ -173,9 +175,6 @@ pub fn save_model_to(clf: &Classifier, writer: impl Write) -> Result<()> {
             w.u64(hp.hashes as u64)?; // CAST: usize -> u64 is lossless
             w.f64(hp.bucket_width)?;
             w.u64(hp.samples as u64)?; // CAST: usize -> u64 is lossless
-        }
-        BackendSpec::Rff(rp) => {
-            w.u64(rp.features as u64)?; // CAST: usize -> u64 is lossless
         }
     }
 
@@ -248,14 +247,6 @@ pub fn save_model_to(clf: &Classifier, writer: impl Write) -> Result<()> {
             }
             w.f64(clf.coreset_eps())?;
         }
-        BackendImpl::Rff(rb) => {
-            // The feature bank regenerates from the seed; only the
-            // coefficient sketch and its normalization persist.
-            w.f64s(rb.coef())?;
-            w.u64(rb.n_train() as u64)?; // CAST: usize -> u64 is lossless
-            w.f64(rb.total_mass())?;
-            w.f64(clf.coreset_eps())?;
-        }
     }
 
     w.0.flush()?;
@@ -287,8 +278,15 @@ pub fn load_model_from(reader: impl Read) -> Result<Classifier> {
     // Backend tag (format v3); earlier versions predate the trait and
     // are always tree models.
     let backend_tag = if version >= 3 { r.byte()? } else { 0 };
-    if backend_tag > 2 {
-        return Err(format_error(format!("unknown backend tag {backend_tag}")));
+    match backend_tag {
+        0 | 1 => {}
+        RFF_BACKEND_TAG => {
+            return Err(format_error(
+                "rff backend removed: this model was trained with the random-Fourier-feature \
+                 backend, which this build no longer supports; retrain it with `--backend tree|hbe`",
+            ))
+        }
+        other => return Err(format_error(format!("unknown backend tag {other}"))),
     }
 
     let p = r.f64()?;
@@ -319,17 +317,15 @@ pub fn load_model_from(reader: impl Read) -> Result<Classifier> {
         buffer: r.f64()?,
         max_retries: r.u64()? as usize, // CAST: u64 -> usize is lossless on 64-bit targets
     };
-    let backend_spec = match backend_tag {
-        0 => BackendSpec::Tree,
-        1 => BackendSpec::Hbe(HbeParams {
+    let backend_spec = if backend_tag == 1 {
+        BackendSpec::Hbe(HbeParams {
             tables: r.u64()? as usize, // CAST: u64 -> usize is lossless on 64-bit targets
             hashes: r.u64()? as usize, // CAST: u64 -> usize is lossless on 64-bit targets
             bucket_width: r.f64()?,
             samples: r.u64()? as usize, // CAST: u64 -> usize is lossless on 64-bit targets
-        }),
-        _ => BackendSpec::Rff(RffParams {
-            features: r.u64()? as usize, // CAST: u64 -> usize is lossless on 64-bit targets
-        }),
+        })
+    } else {
+        BackendSpec::Tree
     };
     let params = Params {
         p,
@@ -357,10 +353,8 @@ pub fn load_model_from(reader: impl Read) -> Result<Classifier> {
     let bandwidths = r.f64s()?;
     let kernel = Kernel::new(kernel_kind, bandwidths)?;
 
-    match backend_tag {
-        1 => return load_hbe_payload(&mut r, params, kernel, threshold, bounds),
-        2 => return load_rff_payload(&mut r, params, kernel, threshold, bounds),
-        _ => {}
+    if backend_tag == 1 {
+        return load_hbe_payload(&mut r, params, kernel, threshold, bounds);
     }
 
     let dim = r.u64()? as usize; // CAST: u64 -> usize is lossless on 64-bit targets
@@ -476,30 +470,6 @@ fn load_hbe_payload(
         kernel,
         points,
         weights,
-        threshold,
-        bounds,
-        coreset_eps,
-    )
-}
-
-/// RFF payload: coefficient sketch, training count, total mass, ε.
-fn load_rff_payload(
-    r: &mut Dec<impl Read>,
-    params: Params,
-    kernel: Kernel,
-    threshold: f64,
-    bounds: ThresholdBounds,
-) -> Result<Classifier> {
-    let coef = r.f64s()?;
-    let n = r.u64()? as usize; // CAST: u64 -> usize is lossless on 64-bit targets
-    let total_mass = r.f64()?;
-    let coreset_eps = r.f64()?;
-    Classifier::from_loaded_rff(
-        params,
-        kernel,
-        coef,
-        n,
-        total_mass,
         threshold,
         bounds,
         coreset_eps,
@@ -763,35 +733,15 @@ mod tests {
     }
 
     #[test]
-    fn rff_round_trip_is_bit_identical() {
-        use crate::classifier::ExecPolicy;
-        use crate::params::{BackendSpec, RffParams};
-        let data = blob(800, 3, 5353);
-        let params = Params::default()
-            .with_seed(11)
-            .with_backend(BackendSpec::Rff(RffParams::default()));
-        let clf = Classifier::fit(&data, &params).unwrap();
-        let mut buf = Vec::new();
-        save_model_to(&clf, &mut buf).unwrap();
-        let loaded = load_model_from(buf.as_slice()).unwrap();
-
-        assert_eq!(loaded.backend_name(), "rff");
-        assert_eq!(loaded.threshold().to_bits(), clf.threshold().to_bits());
-        assert_eq!(loaded.n_train(), clf.n_train());
-        assert!(loaded.tree().is_none());
-        // The sketch persists verbatim and the feature bank regenerates
-        // from the seed, so estimates are bit-identical.
-        let queries = blob(200, 3, 5454);
-        let (a, sa) = clf
-            .classify_batch_with(&queries, ExecPolicy::Serial)
-            .unwrap();
-        let (b, sb) = loaded
-            .classify_batch_with(&queries, ExecPolicy::Serial)
-            .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(sa, sb);
-        // Truncating inside the estimator payload fails cleanly.
-        buf.truncate(buf.len() - 4);
-        assert!(load_model_from(buf.as_slice()).is_err());
+    fn unknown_backend_tag_is_a_parse_error() {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.push(3);
+        let err = load_model_from(bytes.as_slice()).unwrap_err();
+        assert!(
+            matches!(err, Error::Parse { line: 0, .. }),
+            "expected Parse, got {err:?}"
+        );
+        assert!(err.to_string().contains("unknown backend tag 3"), "{err}");
     }
 }

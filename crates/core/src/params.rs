@@ -62,46 +62,16 @@ impl HbeParams {
     }
 }
 
-/// Configuration of the random-Fourier-feature estimator backend
-/// (Gaussian kernel only).
-///
-/// The per-query budget is exactly `features` cosine evaluations; the
-/// estimator's additive error shrinks as `1/√features`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RffParams {
-    /// Number of random Fourier features `D`. Default 2048.
-    pub features: usize,
-}
-
-impl Default for RffParams {
-    fn default() -> Self {
-        Self { features: 2048 }
-    }
-}
-
-impl RffParams {
-    fn validate(&self) -> Result<()> {
-        // The empirical-Bernstein interval needs a meaningful sample
-        // variance over the feature terms; a handful of features would
-        // make the variance estimate itself the dominant error.
-        if self.features < 16 {
-            return Err(invalid_param("rff.features", "must be at least 16"));
-        }
-        Ok(())
-    }
-}
-
 /// Which density-estimation backend the classifier routes queries
 /// through (see `tkdc::backend`).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum BackendSpec {
-    /// The paper's certified-bounds dual-tree traversal (the default).
+    /// The paper's certified-bounds single-tree traversal (Algorithm 2;
+    /// the default).
     #[default]
     Tree,
     /// Hashing-based estimator: probabilistic bounds, wins at high `d`.
     Hbe(HbeParams),
-    /// Random-Fourier-feature estimator: fixed budget, Gaussian only.
-    Rff(RffParams),
 }
 
 impl BackendSpec {
@@ -111,23 +81,13 @@ impl BackendSpec {
         match self {
             BackendSpec::Tree => "tree",
             BackendSpec::Hbe(_) => "hbe",
-            BackendSpec::Rff(_) => "rff",
         }
     }
 
-    fn validate(&self, kernel: KernelKind) -> Result<()> {
+    fn validate(&self) -> Result<()> {
         match self {
             BackendSpec::Tree => Ok(()),
             BackendSpec::Hbe(p) => p.validate(),
-            BackendSpec::Rff(p) => {
-                if kernel != KernelKind::Gaussian {
-                    return Err(invalid_param(
-                        "backend",
-                        "the rff backend supports only the Gaussian kernel",
-                    ));
-                }
-                p.validate()
-            }
         }
     }
 }
@@ -361,7 +321,7 @@ impl Params {
         if self.leaf_size == 0 {
             return Err(invalid_param("leaf_size", "must be positive"));
         }
-        self.backend.validate(self.kernel)?;
+        self.backend.validate()?;
         self.bootstrap.validate()
     }
 
@@ -503,14 +463,6 @@ mod tests {
             bucket_width: 0.0,
             ..HbeParams::default()
         }));
-        assert!(bad.validate().is_err());
-        let rff = Params::default().with_backend(BackendSpec::Rff(RffParams::default()));
-        assert!(rff.validate().is_ok());
-        assert_eq!(rff.backend.name(), "rff");
-        // RFF is Gaussian-only.
-        let bad = rff.with_kernel(KernelKind::Epanechnikov);
-        assert!(bad.validate().is_err());
-        let bad = Params::default().with_backend(BackendSpec::Rff(RffParams { features: 4 }));
         assert!(bad.validate().is_err());
     }
 

@@ -21,7 +21,7 @@ pub enum PruneCause {
     Exhausted,
     /// The grid cache classified the point before any traversal.
     Grid,
-    /// A randomized backend (HBE/RFF) answered with a fixed-budget
+    /// A randomized backend (HBE) answered with a fixed-budget
     /// probabilistic estimate — the bounds are *not* certified.
     Estimated,
     /// The ε-folded (coreset) interval straddles the threshold and can

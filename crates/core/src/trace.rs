@@ -1,10 +1,9 @@
 //! Per-query tracing hooks for the pruned traversal.
 //!
 //! [`Tracer`] is the engine-side adapter between the hot loops
-//! (`bound.rs`, `dualtree.rs`, the grid fast path) and the plain-data
-//! trace records of `tkdc-obs`. It rides inside [`QueryScratch`] so the
-//! parallel engine threads it through workers for free, and it is built
-//! to vanish:
+//! (`bound.rs`, the grid fast path) and the plain-data trace records of
+//! `tkdc-obs`. It rides inside [`QueryScratch`] so the parallel engine
+//! threads it through workers for free, and it is built to vanish:
 //!
 //! * With the `obs` cargo feature disabled, [`Tracer`] is a zero-sized
 //!   struct whose methods are empty `#[inline]` bodies — the traversal
@@ -155,28 +154,6 @@ impl Tracer {
         self.finish("grid", stats, lower, f64::NAN);
     }
 
-    /// Emits a complete step-less trace for a query classified
-    /// wholesale by the dual-tree driver (sampling applies; counters are
-    /// zero because the group's shared work is not attributable to one
-    /// query).
-    pub fn emit_group(&mut self, index: u64, t: f64, lower: f64, upper: f64) {
-        let Some(a) = &mut self.active else { return };
-        if index.is_multiple_of(a.every) {
-            a.traces.push(QueryTrace {
-                query: index,
-                t_lo: t,
-                t_hi: t,
-                cause: "group",
-                lower,
-                upper,
-                nodes_expanded: 0,
-                kernel_evals: 0,
-                bound_evals: 0,
-                steps: Vec::new(),
-            });
-        }
-    }
-
     /// Drains the completed traces (in this scratch's completion order;
     /// batch drivers sort merged traces by query index).
     pub fn take_traces(&mut self) -> Vec<QueryTrace> {
@@ -237,10 +214,6 @@ impl Tracer {
     /// No-op.
     #[inline]
     pub fn finish_grid(&mut self, _t: f64, _stats: QueryStats, _lower: f64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn emit_group(&mut self, _index: u64, _t: f64, _lower: f64, _upper: f64) {}
 }
 
 #[cfg(all(test, feature = "obs"))]
@@ -331,18 +304,6 @@ mod tests {
         assert_eq!(traces[0].lower, 0.02);
         assert!(traces[0].upper.is_nan());
         assert!(traces[0].steps.is_empty());
-    }
-
-    #[test]
-    fn group_emission_respects_sampling() {
-        let mut t = Tracer::enabled(2);
-        t.emit_group(4, 0.1, 0.2, 0.3);
-        t.emit_group(5, 0.1, 0.2, 0.3);
-        let traces = t.take_traces();
-        assert_eq!(traces.len(), 1);
-        assert_eq!(traces[0].query, 4);
-        assert_eq!(traces[0].cause, "group");
-        assert_eq!(traces[0].nodes_expanded, 0);
     }
 
     #[test]

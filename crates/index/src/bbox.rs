@@ -78,49 +78,6 @@ pub fn scaled_sq_dist_bounds(x: &[f64], lo: &[f64], hi: &[f64], inv_h: &[f64]) -
     (u_min, u_max)
 }
 
-/// Scaled squared distance between the *nearest* pair of points of two
-/// boxes (zero when they overlap). Foundation of the dual-tree batch
-/// classifier: the kernel of this distance upper-bounds the contribution
-/// of any reference point in box B to any query point in box A.
-#[inline]
-pub fn min_scaled_sq_dist_boxes(
-    a_lo: &[f64],
-    a_hi: &[f64],
-    b_lo: &[f64],
-    b_hi: &[f64],
-    inv_h: &[f64],
-) -> f64 {
-    debug_assert_eq!(a_lo.len(), b_lo.len());
-    let mut acc = 0.0;
-    for i in 0..a_lo.len() {
-        // Gap between the intervals [a_lo, a_hi] and [b_lo, b_hi].
-        let gap = (b_lo[i] - a_hi[i]).max(a_lo[i] - b_hi[i]).max(0.0);
-        let z = gap * inv_h[i];
-        acc += z * z;
-    }
-    acc
-}
-
-/// Scaled squared distance between the *farthest* pair of points of two
-/// boxes.
-#[inline]
-pub fn max_scaled_sq_dist_boxes(
-    a_lo: &[f64],
-    a_hi: &[f64],
-    b_lo: &[f64],
-    b_hi: &[f64],
-    inv_h: &[f64],
-) -> f64 {
-    debug_assert_eq!(a_lo.len(), b_lo.len());
-    let mut acc = 0.0;
-    for i in 0..a_lo.len() {
-        let d = (b_hi[i] - a_lo[i]).max(a_hi[i] - b_lo[i]);
-        let z = d * inv_h[i];
-        acc += z * z;
-    }
-    acc
-}
-
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // exact-value asserts are deliberate in tests
 mod tests {
@@ -194,84 +151,6 @@ mod tests {
         let expected = 9.0 + 16.0;
         assert_eq!(min_scaled_sq_dist(&q, &lo, &hi, &UNIT), expected);
         assert_eq!(max_scaled_sq_dist(&q, &lo, &hi, &UNIT), expected);
-    }
-
-    #[test]
-    fn box_to_box_overlapping_min_is_zero() {
-        let a_lo = [0.0, 0.0];
-        let a_hi = [2.0, 2.0];
-        let b_lo = [1.0, 1.0];
-        let b_hi = [3.0, 3.0];
-        assert_eq!(
-            min_scaled_sq_dist_boxes(&a_lo, &a_hi, &b_lo, &b_hi, &UNIT),
-            0.0
-        );
-    }
-
-    #[test]
-    fn box_to_box_disjoint_gap() {
-        let a_lo = [0.0, 0.0];
-        let a_hi = [1.0, 1.0];
-        let b_lo = [3.0, 0.0];
-        let b_hi = [4.0, 1.0];
-        // Gap of 2 along x only.
-        assert_eq!(
-            min_scaled_sq_dist_boxes(&a_lo, &a_hi, &b_lo, &b_hi, &UNIT),
-            4.0
-        );
-        // Farthest corners: (0,0)↔(4,1): 16+1.
-        assert_eq!(
-            max_scaled_sq_dist_boxes(&a_lo, &a_hi, &b_lo, &b_hi, &UNIT),
-            17.0
-        );
-    }
-
-    #[test]
-    fn box_to_box_sandwiches_point_pairs() {
-        let a_lo = [-1.0, 0.0];
-        let a_hi = [1.0, 2.0];
-        let b_lo = [2.0, -3.0];
-        let b_hi = [5.0, 1.0];
-        let inv_h = [0.8, 1.4];
-        let mn = min_scaled_sq_dist_boxes(&a_lo, &a_hi, &b_lo, &b_hi, &inv_h);
-        let mx = max_scaled_sq_dist_boxes(&a_lo, &a_hi, &b_lo, &b_hi, &inv_h);
-        for i in 0..=4 {
-            for j in 0..=4 {
-                let p = [
-                    a_lo[0] + (a_hi[0] - a_lo[0]) * i as f64 / 4.0,
-                    a_lo[1] + (a_hi[1] - a_lo[1]) * j as f64 / 4.0,
-                ];
-                for k in 0..=4 {
-                    for l in 0..=4 {
-                        let q = [
-                            b_lo[0] + (b_hi[0] - b_lo[0]) * k as f64 / 4.0,
-                            b_lo[1] + (b_hi[1] - b_lo[1]) * l as f64 / 4.0,
-                        ];
-                        let dx = (p[0] - q[0]) * inv_h[0];
-                        let dy = (p[1] - q[1]) * inv_h[1];
-                        let d = dx * dx + dy * dy;
-                        assert!(d >= mn - 1e-12 && d <= mx + 1e-12);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn box_to_box_degenerates_to_point_to_box() {
-        // A zero-volume query box must match the point-to-box bounds.
-        let q = [1.5, -0.5];
-        let b_lo = [2.0, 0.0];
-        let b_hi = [4.0, 3.0];
-        let inv_h = [1.0, 2.0];
-        assert_eq!(
-            min_scaled_sq_dist_boxes(&q, &q, &b_lo, &b_hi, &inv_h),
-            min_scaled_sq_dist(&q, &b_lo, &b_hi, &inv_h)
-        );
-        assert_eq!(
-            max_scaled_sq_dist_boxes(&q, &q, &b_lo, &b_hi, &inv_h),
-            max_scaled_sq_dist(&q, &b_lo, &b_hi, &inv_h)
-        );
     }
 
     /// The branchy per-axis gap `min_scaled_sq_dist` used before the

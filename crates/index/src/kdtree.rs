@@ -554,7 +554,7 @@ impl KdTree {
     /// pairing both sides in lexicographic row order. Duplicate rows are
     /// interchangeable, so any stable pairing among them is valid.
     ///
-    /// Used by batch drivers (dual-tree classification, DBSCAN) that
+    /// Used by batch drivers (DBSCAN) that
     /// compute results in tree order and must scatter them back to the
     /// caller's order. Uses `total_cmp`, so NaN coordinates order
     /// deterministically instead of corrupting the permutation.

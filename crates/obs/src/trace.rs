@@ -23,9 +23,8 @@
 //!   against (equal for classification queries). `null` when a bound is
 //!   not finite (e.g. the exhaustive oracle's `+inf` upper threshold).
 //! * `cause` — why the traversal stopped: `threshold_high`,
-//!   `threshold_low`, `tolerance`, `exhausted`, `grid`, `group`
-//!   (dual-tree wholesale classification), `estimated` (a
-//!   fixed-budget hbe/rff backend answered; the bounds are
+//!   `threshold_low`, `tolerance`, `exhausted`, `grid`, `estimated` (a
+//!   fixed-budget hbe backend answered; the bounds are
 //!   probabilistic, not certified), or `straddle` (a coreset model's
 //!   ε-folded interval straddles the threshold and can no longer
 //!   resolve either way: the query is UNKNOWN).

@@ -194,7 +194,7 @@ pub struct StatsSnapshot {
     /// self-describing as `(name, value)` pairs so the frame layout
     /// never changes when counters are added.
     pub engine_counters: Vec<(String, u64)>,
-    /// Density-backend name of the served model (`tree` | `hbe` | `rff`).
+    /// Density-backend name of the served model (`tree` | `hbe`).
     pub backend: String,
     /// Bound provenance of the served model's answers: `certified`
     /// (exact interval arithmetic) or `probabilistic` (1 − δ confidence).

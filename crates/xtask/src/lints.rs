@@ -1227,7 +1227,7 @@ mod tests {
                 // newest crate-set member (`tkdc-coreset`), the
                 // persistent pool module — the workspace's densest user
                 // of L6–L9 (facade imports, Relaxed cursors, worker
-                // spawn/join lifecycles) — and the estimator backends,
+                // spawn/join lifecycles) — and the estimator backend,
                 // whose sampling loops are the densest users of L5
                 // index casts and L2 invariants.
                 for fixture_path in [
@@ -1235,7 +1235,6 @@ mod tests {
                     "crates/coreset/src/golden.rs",
                     "crates/core/src/engine/pool.rs",
                     "crates/core/src/backend/hbe.rs",
-                    "crates/core/src/backend/rff.rs",
                     // The observability surface: span sinks and the
                     // windowed histogram (Relaxed counters under L7),
                     // and the metrics endpoint (spawn/join under L9).

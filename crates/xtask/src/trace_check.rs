@@ -265,7 +265,6 @@ const CAUSES: &[&str] = &[
     "tolerance",
     "exhausted",
     "grid",
-    "group",
     "estimated",
     "straddle",
 ];
@@ -516,7 +515,7 @@ mod tests {
         // Null bounds (grid prune, no upper) are valid.
         let grid = GOOD.replace("\"upper\":2.5e-3", "\"upper\":null");
         assert!(validate_trace_line(&grid).is_empty());
-        // Estimated backends (hbe/rff) record the `estimated` cause.
+        // The estimated backend (hbe) records the `estimated` cause.
         let est = GOOD.replace("threshold_high", "estimated");
         assert!(validate_trace_line(&est).is_empty());
     }
@@ -540,6 +539,16 @@ mod tests {
             .iter()
             .any(|e| e.contains("steps[0]")));
         assert!(!validate_trace_line("[]").is_empty());
+    }
+
+    #[test]
+    fn removed_group_cause_is_rejected() {
+        // `group` named the deleted dual-tree driver's wholesale labels;
+        // no producer emits it, so a v1 line carrying it is invalid.
+        let group = GOOD.replace("threshold_high", "group");
+        assert!(validate_trace_line(&group)
+            .iter()
+            .any(|e| e.contains("unknown cause `group`")));
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Model persistence and dual-tree batch classification: fit once, save
-//! the model, reload it in a "serving" phase, and classify a dense grid
-//! of queries with the dual-tree driver (which shares traversal work
-//! between nearby queries — the paper's §5 future-work direction).
+//! Model persistence: fit once, save the model, reload it in a "serving"
+//! phase without retraining, and check that the reloaded model labels a
+//! dense grid of queries exactly as the in-memory model does — under both
+//! the serial and the parallel batch driver.
 //!
 //! Run with: `cargo run --release --example model_persistence`
 
 use std::time::Instant;
 use tkdc::model_io::{load_model, save_model};
-use tkdc::{classify_batch_dual, Classifier, DualTreeConfig, ExecPolicy, Label, Params};
+use tkdc::{Classifier, ExecPolicy, Label, Params};
 use tkdc_common::Matrix;
 use tkdc_data::tmy3;
 
@@ -38,10 +38,15 @@ fn main() {
     let t1 = Instant::now();
     let served = load_model(&model_path).expect("load");
     println!("model reloaded in {:.2?} (no retraining)", t1.elapsed());
+    assert_eq!(
+        served.threshold().to_bits(),
+        clf.threshold().to_bits(),
+        "the threshold must survive the round trip bit for bit"
+    );
 
     // A dense grid of queries across the two leading load channels, with
-    // the remaining channels fixed at their medians: the contour-render
-    // workload where the dual tree shines.
+    // the remaining channels fixed at their midpoints: a contour-render
+    // workload.
     let (mins, maxs) = data.column_bounds();
     let mid2 = 0.5 * (mins[2] + maxs[2]);
     let mid3 = 0.5 * (mins[3] + maxs[3]);
@@ -55,6 +60,10 @@ fn main() {
         }
     }
 
+    let (in_memory, _) = clf
+        .classify_batch_with(&queries, ExecPolicy::Serial)
+        .expect("in-memory");
+
     let t2 = Instant::now();
     let (serial, _) = served
         .classify_batch_with(&queries, ExecPolicy::Serial)
@@ -62,26 +71,28 @@ fn main() {
     let serial_time = t2.elapsed();
 
     let t3 = Instant::now();
-    let (dual, stats) =
-        classify_batch_dual(&served, &queries, &DualTreeConfig::default()).expect("dual");
-    let dual_time = t3.elapsed();
+    let (parallel, _) = served
+        .classify_batch_with(&queries, ExecPolicy::Parallel { threads: None })
+        .expect("parallel");
+    let parallel_time = t3.elapsed();
 
-    let agree = serial.iter().zip(&dual).filter(|(a, b)| a == b).count();
-    let high = dual.iter().filter(|&&l| l == Label::High).count();
+    assert_eq!(
+        serial, in_memory,
+        "the reloaded model must label exactly as the in-memory model"
+    );
+    assert_eq!(
+        parallel, serial,
+        "the parallel driver must label exactly as the serial one"
+    );
+
+    let high = serial.iter().filter(|&&l| l == Label::High).count();
     println!(
-        "\nclassified {} grid queries: {high} HIGH / {} LOW",
+        "\nclassified {} grid queries with the reloaded model: {high} HIGH / {} LOW",
         queries.rows(),
         queries.rows() - high
     );
     println!("  serial batch:   {serial_time:.2?}");
-    println!(
-        "  dual-tree batch: {dual_time:.2?}  ({} group-classified, {} leaf fallbacks)",
-        stats.group_classified, stats.leaf_fallbacks
-    );
-    println!(
-        "  agreement: {agree}/{} ({:.2}%; differences are confined to the ε-band)",
-        queries.rows(),
-        100.0 * agree as f64 / queries.rows() as f64
-    );
+    println!("  parallel batch: {parallel_time:.2?}");
+    println!("  labels identical to the in-memory model under both drivers");
     std::fs::remove_file(&model_path).ok();
 }

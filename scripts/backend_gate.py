@@ -87,7 +87,7 @@ def gate_rows(backend):
     rc = 0
     for ds in backend["datasets"]:
         names = [b["backend"] for b in ds["backends"]]
-        for want in ("tree", "hbe", "rff"):
+        for want in ("tree", "hbe"):
             if want not in names:
                 rc |= fail(f"{ds['name']}: missing {want} row")
         for b in ds["backends"]:

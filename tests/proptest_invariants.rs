@@ -282,7 +282,7 @@ fn stats_fixture() -> &'static (Classifier, Matrix) {
 fn backend_fixture() -> &'static (Vec<Classifier>, Matrix, Matrix) {
     static FIXTURE: OnceLock<(Vec<Classifier>, Matrix, Matrix)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        use tkdc::{BackendSpec, HbeParams, RffParams};
+        use tkdc::{BackendSpec, HbeParams};
         let mut rng = tkdc_common::Rng::seed_from(99);
         let mut data = Matrix::with_cols(2);
         for _ in 0..1200 {
@@ -290,14 +290,10 @@ fn backend_fixture() -> &'static (Vec<Classifier>, Matrix, Matrix) {
                 .unwrap();
         }
         let base = Params::default().with_seed(99).with_delta(0.1);
-        let clfs = [
-            BackendSpec::Tree,
-            BackendSpec::Hbe(HbeParams::default()),
-            BackendSpec::Rff(RffParams::default()),
-        ]
-        .into_iter()
-        .map(|spec| Classifier::fit(&data, &base.clone().with_backend(spec)).unwrap())
-        .collect();
+        let clfs = [BackendSpec::Tree, BackendSpec::Hbe(HbeParams::default())]
+            .into_iter()
+            .map(|spec| Classifier::fit(&data, &base.clone().with_backend(spec)).unwrap())
+            .collect();
         let mut queries = Matrix::with_cols(2);
         for _ in 0..150 {
             queries
