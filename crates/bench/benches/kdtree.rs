@@ -1,4 +1,5 @@
-//! Criterion microbench: k-d tree construction and bound computation.
+//! Criterion microbench: k-d tree construction and bound computation
+//! (the traversal's fused `(u_min, ū)` node pass).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tkdc_common::Rng;
@@ -52,8 +53,8 @@ fn bench_dist_bounds(c: &mut Criterion) {
             for id in (0..tree.node_count() as u32).step_by(37) {
                 let q = &queries[next % queries.len()];
                 next += 1;
-                let (lo, hi) = tree.scaled_sq_dist_bounds(id, black_box(q), &inv_h);
-                acc += lo + hi;
+                let (u_min, u_mean) = tree.scaled_sq_dist_min_mean(id, black_box(q), &inv_h);
+                acc += u_min + u_mean;
             }
             black_box(acc)
         })

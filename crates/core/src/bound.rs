@@ -3,7 +3,12 @@
 //! Maintains running lower/upper bounds `(f_l, f_u)` on the kernel density
 //! of a query point by iteratively replacing k-d tree nodes with their
 //! children, always refining the node with the greatest potential bound
-//! improvement `n_r (K(d_min) − K(d_max))`. The traversal stops as soon as
+//! improvement `W_r·(K(u_min) − K(ū))`. A node's upper bound is Eq. 6's
+//! `W_r·K(u_min)` from the nearest point of its box; its lower bound is
+//! `W_r·K(ū)` from the mean scaled squared distance `ū` to its points,
+//! which Jensen's inequality certifies for any kernel convex in the
+//! squared distance (both of ours are), and which is never looser than
+//! Eq. 6's far-corner `W_r·K(u_max)`. The traversal stops as soon as
 //! either threshold rule (Eq. 9) or the tolerance rule (Eq. 8) fires, or
 //! the tree is exhausted (in which case the bounds coincide with the exact
 //! density up to floating-point error).
@@ -285,12 +290,11 @@ impl<'a> DensityBounder<'a> {
     /// exhaustion of the tree always terminates regardless.
     ///
     /// At d ≥ 8 the hot layer is node-bound evaluation, not the leaf
-    /// sum: a held-out d = 8 query costs 544 bound evaluations and 138
-    /// node expansions but only 58 kernel evaluations, so the leaf sum
-    /// is 3.1% of query time (`kernel.share` 0.031 in the benchmark
-    /// ledger). Each child's `(u_min, u_max)` therefore comes from one
-    /// fused, branch-free pass over its box
-    /// ([`KdTree::scaled_sq_dist_bounds`]).
+    /// sum: a held-out d = 8 query costs 341 bound evaluations and 86
+    /// node expansions but only 42 kernel evaluations. Each child's
+    /// `(u_min, ū)` therefore comes from one fused, branch-free pass over
+    /// its box and moments ([`KdTree::scaled_sq_dist_min_mean`]), and
+    /// its bounds cost two `exp`: `W·K(u_min)` above, `W·K(ū)` below.
     ///
     /// Leaves are evaluated through the SoA kernel fast path
     /// ([`Kernel::sum_block_soa`]) over the node's cached
@@ -316,11 +320,11 @@ impl<'a> DensityBounder<'a> {
 
         // Seed with the root's coarse bounds.
         let root = self.tree.root();
-        let (u_min, u_max) = self.tree.scaled_sq_dist_bounds(root, x, inv_h);
+        let (u_min, u_mean) = self.tree.scaled_sq_dist_min_mean(root, x, inv_h);
         scratch.stats.bound_evals += 2;
         let count = self.tree.node_mass(root);
         let w_hi = count / n * self.kernel.eval_scaled_sq(u_min);
-        let w_lo = count / n * self.kernel.eval_scaled_sq(u_max);
+        let w_lo = count / n * self.kernel.eval_scaled_sq(u_mean);
         let mut f_lo = w_lo;
         let mut f_hi = w_hi;
         if w_hi > 0.0 {
@@ -368,11 +372,11 @@ impl<'a> DensityBounder<'a> {
                 }
                 Some((left, right)) => {
                     for child in [left, right] {
-                        let (u_min, u_max) = self.tree.scaled_sq_dist_bounds(child, x, inv_h);
+                        let (u_min, u_mean) = self.tree.scaled_sq_dist_min_mean(child, x, inv_h);
                         scratch.stats.bound_evals += 2;
                         let c = self.tree.node_mass(child);
                         let w_hi = c / n * self.kernel.eval_scaled_sq(u_min);
-                        let w_lo = c / n * self.kernel.eval_scaled_sq(u_max);
+                        let w_lo = c / n * self.kernel.eval_scaled_sq(u_mean);
                         f_lo += w_lo;
                         f_hi += w_hi;
                         // A zero upper bound means the subtree contributes
@@ -545,6 +549,207 @@ mod tests {
                     !predicted_high,
                     "exact {exact} < t(1−ε) but classified HIGH"
                 );
+            }
+        }
+    }
+
+    /// Held-out draws from the training distribution N(0, I) plus
+    /// planted outliers at radius `√d + 4`.
+    fn heldout_and_planted(d: usize, heldout: usize, planted: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = Rng::seed_from(seed);
+        let mut qs: Vec<Vec<f64>> = (0..heldout)
+            .map(|_| (0..d).map(|_| rng.normal(0.0, 1.0)).collect())
+            .collect();
+        for _ in 0..planted {
+            let dir: Vec<f64> = (0..d).map(|_| rng.normal(0.0, 1.0)).collect();
+            let norm = dir.iter().map(|v| v * v).sum::<f64>().sqrt();
+            let r = (d as f64).sqrt() + 4.0;
+            qs.push(dir.iter().map(|v| v * r / norm).collect());
+        }
+        qs
+    }
+
+    /// Classifies every query against `t` and checks Algorithm 2's label
+    /// contract against the exact density: outside the `t(1 ± ε)` band
+    /// the midpoint label must match. `t` is the 10% quantile of the
+    /// queries' exact densities, so both labels occur. Returns how many
+    /// queries were checked on each side.
+    fn assert_labels_match_exact(
+        bounder: &DensityBounder<'_>,
+        eps: f64,
+        queries: &[Vec<f64>],
+        exact: impl Fn(&[f64]) -> f64,
+    ) -> (usize, usize) {
+        let dens: Vec<f64> = queries.iter().map(|q| exact(q)).collect();
+        let mut sorted = dens.clone();
+        sorted.sort_by(f64::total_cmp);
+        let t = sorted[sorted.len() / 10];
+        let mut scratch = QueryScratch::new();
+        let (mut high, mut low) = (0, 0);
+        for (q, &f) in queries.iter().zip(&dens) {
+            let b = bounder.bound_density(q, t, t, &mut scratch);
+            let predicted_high = b.midpoint() > t;
+            if f > t * (1.0 + eps) {
+                assert!(predicted_high, "exact {f} > t(1+ε) but LOW: {q:?}");
+                high += 1;
+            } else if f < t * (1.0 - eps) {
+                assert!(!predicted_high, "exact {f} < t(1−ε) but HIGH: {q:?}");
+                low += 1;
+            }
+        }
+        (high, low)
+    }
+
+    #[test]
+    fn pruned_traversal_matches_exact_classification_at_d8() {
+        let (data, tree, kernel) = setup(3000, 8, 67);
+        let eps = 0.01;
+        let bounder = DensityBounder::new(&tree, &kernel, Optimizations::all(), eps);
+        let queries = heldout_and_planted(8, 400, 40, 71);
+        let (high, low) = assert_labels_match_exact(&bounder, eps, &queries, |q| {
+            naive_density(&data, &kernel, q)
+        });
+        assert!(high > 300 && low > 30, "high {high} low {low}");
+    }
+
+    #[test]
+    fn pruned_traversal_matches_exact_classification_on_weighted_trees() {
+        for (d, seed) in [(2usize, 73u64), (8, 79)] {
+            let data = gaussian_blob(2000, d, seed);
+            let mut rng = Rng::seed_from(seed + 1);
+            let weights: Vec<f64> = (0..2000).map(|_| rng.uniform(0.2, 5.0)).collect();
+            let tree =
+                KdTree::build_weighted(&data, &weights, 16, SplitRule::TrimmedMidpoint).unwrap();
+            let kernel =
+                Kernel::new(KernelKind::Gaussian, scotts_rule(&data, 1.0).unwrap()).unwrap();
+            let eps = 0.01;
+            let bounder = DensityBounder::new(&tree, &kernel, Optimizations::all(), eps);
+            let total: f64 = weights.iter().sum();
+            let exact = |q: &[f64]| {
+                data.iter_rows()
+                    .zip(&weights)
+                    .map(|(r, w)| w * kernel.eval_pair(q, r))
+                    .sum::<f64>()
+                    / total
+            };
+            let queries = heldout_and_planted(d, 250, 25, seed + 2);
+            let (high, low) = assert_labels_match_exact(&bounder, eps, &queries, exact);
+            assert!(high > 200 && low > 20, "d={d}: high {high} low {low}");
+        }
+    }
+
+    /// Rows for the node-bound soundness test: `family` 0 is N(0, I);
+    /// 1 is duplicate-heavy, seven distinct points with every third row
+    /// nudged by a few ulps; 2 is offset to 1e6 with spread 1e-3, every
+    /// fourth row an exact copy of the one before.
+    fn soundness_data(family: u32, n: usize, d: usize, seed: u64) -> Matrix {
+        let mut rng = Rng::seed_from(seed);
+        let centers: Vec<Vec<f64>> = (0..7)
+            .map(|_| (0..d).map(|_| rng.normal(0.0, 1.0)).collect())
+            .collect();
+        let mut m = Matrix::with_cols(d);
+        let mut prev = vec![0.0; d];
+        for i in 0..n {
+            let row: Vec<f64> = match family {
+                0 => (0..d).map(|_| rng.normal(0.0, 1.0)).collect(),
+                1 => centers[i % 7]
+                    .iter()
+                    .map(|&c| {
+                        let nudge = if i % 3 == 0 { rng.next_below(4) } else { 0 };
+                        f64::from_bits(c.to_bits() + nudge)
+                    })
+                    .collect(),
+                _ if i % 4 == 3 => prev.clone(),
+                _ => (0..d).map(|_| 1e6 + rng.normal(0.0, 1e-3)).collect(),
+            };
+            m.push_row(&row).unwrap();
+            prev = row;
+        }
+        m
+    }
+
+    /// Scaled squared distance from `x` to the farthest corner of a box:
+    /// Eq. 6's `u_max`, the lower bound the Jensen bound replaced.
+    fn far_corner(x: &[f64], lo: &[f64], hi: &[f64], inv_h: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for i in 0..x.len() {
+            let z = (x[i] - lo[i]).abs().max((hi[i] - x[i]).abs()) * inv_h[i];
+            acc += z * z;
+        }
+        acc
+    }
+
+    /// The node lower bound `W·K(ū)` holds on every node of unweighted and
+    /// weighted trees, for both kernels, at d ∈ {1, 2, 8, 17}, on plain,
+    /// duplicate-heavy and far-offset data, for queries on training rows,
+    /// near them and far from them. It is never looser than the
+    /// far-corner bound beyond `ū`'s documented round-up (`2⁻²⁹`
+    /// relative, budgeted here as `2⁻²⁸`).
+    ///
+    /// The direct sum and the stored mass carry their own rounding (one
+    /// kernel rounding per term, `k` additions), hence the relative
+    /// `(k + 8)·2⁻⁵²` on the right; that is far below the relative error
+    /// a `ū` rounded down would cost (at least `u·ū/2` on an all-duplicate
+    /// node, where Jensen is tight).
+    #[test]
+    fn jensen_node_bound_is_sound_on_every_node() {
+        let slack = 1.0 + 2f64.powi(-28);
+        let mut rng = Rng::seed_from(83);
+        for d in [1usize, 2, 8, 17] {
+            for family in 0..3u32 {
+                let n = 300;
+                let data = soundness_data(family, n, d, 100 + 10 * d as u64 + u64::from(family));
+                let weights: Vec<f64> = (0..n).map(|_| rng.uniform(0.05, 20.0)).collect();
+                let trees = [
+                    KdTree::build(&data, 8, SplitRule::TrimmedMidpoint).unwrap(),
+                    KdTree::build_weighted(&data, &weights, 8, SplitRule::TrimmedMidpoint).unwrap(),
+                ];
+                let h = scotts_rule(&data, 1.0).unwrap();
+                for tree in &trees {
+                    for (kind, scale) in
+                        [(KernelKind::Gaussian, 1.0), (KernelKind::Epanechnikov, 3.0)]
+                    {
+                        let kernel =
+                            Kernel::new(kind, h.iter().map(|v| v * scale).collect()).unwrap();
+                        let inv_h = kernel.inv_bandwidths();
+                        for qi in 0..12 {
+                            // CAST: the bound is the row count
+                            let row = data.row(rng.next_below(n as u64) as usize);
+                            let step = [0.0, 0.3, 3.0, 30.0][qi % 4];
+                            let q: Vec<f64> = row
+                                .iter()
+                                .zip(&h)
+                                .map(|(&x, &hj)| x + step * hj * rng.standard_normal())
+                                .collect();
+                            for id in 0..tree.node_count() as u32 {
+                                let (u_min, u_mean) = tree.scaled_sq_dist_min_mean(id, &q, inv_h);
+                                let mut direct = 0.0;
+                                for (i, p) in tree.node_points(id).enumerate() {
+                                    let w = tree.node_weights(id).map_or(1.0, |w| w[i]);
+                                    direct += w * kernel.eval_pair(&q, p);
+                                }
+                                let k = tree.count(id) as f64;
+                                let lower = tree.node_mass(id) * kernel.eval_scaled_sq(u_mean);
+                                let ctx = format!("d={d} family={family} {kind:?} node {id}");
+                                assert!(
+                                    lower <= direct * (1.0 + (k + 8.0) * f64::EPSILON),
+                                    "{ctx}: W·K(ū) {lower} > Σ w·K(u) {direct}"
+                                );
+                                assert!(u_min <= u_mean, "{ctx}: u_min {u_min} > ū {u_mean}");
+                                let u_max = far_corner(&q, tree.box_lo(id), tree.box_hi(id), inv_h);
+                                assert!(
+                                    u_mean <= u_max * slack,
+                                    "{ctx}: ū {u_mean} > u_max {u_max}"
+                                );
+                                assert!(
+                                    kernel.eval_scaled_sq(u_mean)
+                                        >= kernel.eval_scaled_sq(u_max * slack),
+                                    "{ctx}"
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -141,7 +141,7 @@ impl QueryStats {
 /// can subtract exactly what was added).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HeapEntry {
-    /// Refinement priority `n_r (K(d_min) − K(d_max))`.
+    /// Refinement priority `W_r·(K(u_min) − K(ū))`.
     pub priority: f64,
     /// Arena node id.
     pub node: u32,

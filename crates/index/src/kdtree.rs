@@ -11,6 +11,12 @@
 //! bounding boxes in two contiguous `Vec<f64>` side arrays (`d` values per
 //! node), and the training points are reordered so every node owns a
 //! contiguous range — leaf scans are sequential memory reads.
+//!
+//! Every node also carries its weighted centroid and per-axis spread
+//! (mean squared deviation), derived from the points in one bottom-up
+//! pass after the build and again on load: the traversal's lower bound
+//! is the kernel of the mean distance to the node's points (Jensen),
+//! not of the distance to the box's far corner.
 
 use crate::bbox;
 use tkdc_common::error::{invalid_param, Error, Result};
@@ -89,6 +95,13 @@ pub struct KdTree {
     soa: Vec<f64>,
     /// Per-node offset into `soa`; `usize::MAX` for internal nodes.
     soa_off: Vec<usize>,
+    /// Weighted centroid of each node's points as an offset from its
+    /// `node_lo`, `dim` values per node (derived state, like `soa`).
+    cent: Vec<f64>,
+    /// Per-axis spread of each node: the mean squared deviation of its
+    /// points from the stored centroid, rounded up (see
+    /// [`Self::spread`]), `dim` values per node (derived state).
+    spread: Vec<f64>,
 }
 
 impl KdTree {
@@ -165,6 +178,8 @@ impl KdTree {
             masses: Vec::new(),
             soa: Vec::new(),
             soa_off: Vec::new(),
+            cent: Vec::new(),
+            spread: Vec::new(),
         };
         // Scratch buffer reused by split-value selection at every level.
         let mut scratch: Vec<f64> = Vec::with_capacity(n);
@@ -187,6 +202,7 @@ impl KdTree {
                 .collect();
         }
         tree.build_soa();
+        tree.build_moments();
         Ok(tree)
     }
 
@@ -225,6 +241,134 @@ impl KdTree {
         }
         self.soa = soa;
         self.soa_off = soa_off;
+    }
+
+    /// Computes every node's centroid offset and spread bottom-up: leaves
+    /// from their rows, internal nodes by a pairwise merge of their two
+    /// children (Chan et al.), in one reverse sweep of the arena
+    /// (children always follow their parent). That is O(n·d + nodes·d),
+    /// where recomputing each node from its own rows would cost
+    /// O(n·depth·d) on every build and load.
+    ///
+    /// The traversal needs a certified *upper* bound on the mean scaled
+    /// squared distance (see [`bbox::scaled_sq_dist_min_mean`]), so
+    /// alongside the centroid offset `c` of each axis (clamped into
+    /// `[0, w]`, `w = hi − lo`) the sweep carries, per axis, with
+    /// `u = 2⁻⁵³` and `E = 2u` (`f64::EPSILON`):
+    ///
+    /// * `ρ ≥ |c* − c|`, the distance from the exact centroid `c*`. A
+    ///   leaf of `k` rows computes `c = Σ w_i·(p_i − lo) / W` from
+    ///   non-negative terms, each `p_i − lo` off by at most `u·w`, so
+    ///   `ρ = ((k + 4)·E + μ)·w`. Here `μ` bounds the relative error of a
+    ///   stored weighted mass: `rows·E` for a weighted tree, `0` for the
+    ///   exact integer counts of an unweighted one. A merge forms
+    ///   `c = f_a·g_a + f_b·g_b`, with `f = W_child / W` and `g` the
+    ///   child's centroid in the parent's frame, `(lo_child − lo) +
+    ///   c_child`, off by at most `2u·w`. The exact centroid is the same
+    ///   convex combination, so
+    ///   `ρ = (max(ρ_a, ρ_b) + (6E + 2μ)·w)·(1 + E)`.
+    /// * `q↑ ≥ q* = mean_i (p_i − ĉ)²` about the stored centroid `ĉ`. A
+    ///   leaf sums `w_i·e_i²` with `e_i = (p_i − lo) − c`. Since
+    ///   `|e_i − (p_i − ĉ)| ≤ 2u·w`, `(p_i − ĉ)² ≤ e_i² + 5u·w²`, and the
+    ///   sum of non-negative terms and the division lose at most a
+    ///   relative `(k + 4)·u + μ`, so
+    ///   `q↑ = Σ w_i e_i² / W · (1 + (k + 8)·E + μ) + 4E·w²`. A merge
+    ///   uses `mean_child (p − ĉ)² = q*_c + 2·r_c·Δ_c + Δ_c²`, which is
+    ///   at most `q↑_c + (|Δ_c| + ρ_c)²`, for the exact offset `Δ_c`
+    ///   between the child's and the parent's stored centroids. Its
+    ///   computed value is off by at most `4u·w = 2E·w`, so
+    ///   `q↑ = Σ_c f_c·(q↑_c + (|Δ̂_c| + 2E·w + ρ_c)²)·(1 + 8E + 2μ)`.
+    ///
+    /// Each budget is at least twice the error it covers, which absorbs
+    /// the rounding of the bound arithmetic itself. The stored spread is
+    /// `(q↑ + (1 + 1/η)·(ρ + E·w)²)·(1 + 4E)` with `η = 2⁻³⁰`: exactly
+    /// `0` on a zero-width axis, and otherwise larger than the exact
+    /// mean squared deviation by a negligible `O(k²·2⁻⁷⁶·w²)`. An axis
+    /// whose moments come out non-finite (NaN or infinite coordinates, a
+    /// zero mass or an inconsistent box in a corrupt model file) stores
+    /// offset `0` and spread `+∞`, and so do its ancestors: its lower
+    /// bound is the trivial `0`, never NaN.
+    ///
+    /// Every operation runs in a fixed order over the final point order,
+    /// so a built tree and its `from_raw_parts` reload agree bit for bit.
+    fn build_moments(&mut self) {
+        const E: f64 = f64::EPSILON;
+        let d = self.dim;
+        let m = self.nodes.len();
+        let mut cent = vec![0.0; m * d];
+        let mut spread = vec![0.0; m * d];
+        // Build-time only: the q↑ and ρ bounds of every node, which the
+        // parent's merge reads.
+        let mut q_up = vec![0.0; m * d];
+        let mut rho = vec![0.0; m * d];
+        for id in (0..m).rev() {
+            let nd = self.nodes[id];
+            let mass = self.node_mass(id as u32); // CAST: arena ids fit u32
+            let rows = (nd.end - nd.start) as usize; // CAST: u32 range widens to usize
+            let mu = if self.weights.is_empty() {
+                0.0
+            } else {
+                rows as f64 * E // CAST: row counts are far below 2^53
+            };
+            for j in 0..d {
+                let at = id * d + j;
+                let lo = self.node_lo[at];
+                let w = self.node_hi[at] - lo;
+                // The stored offset: the centroid clamped into the box.
+                let clamp = |c: f64| c.max(0.0).min(w);
+                let (c, q, r) = if nd.left == NO_CHILD {
+                    // The leaf's coordinate `j`, stride-1 in the SoA cache.
+                    let col = &self.node_block_soa(id as u32)[j * rows..(j + 1) * rows]; // CAST: arena ids fit u32
+                    let weights = self.node_weights(id as u32); // CAST: arena ids fit u32
+                    let weight = |i: usize| weights.map_or(1.0, |w| w[i]);
+                    let k = rows as f64; // CAST: row counts are far below 2^53
+                    let mut s1 = 0.0;
+                    for (i, &p) in col.iter().enumerate() {
+                        s1 += weight(i) * (p - lo);
+                    }
+                    let c = s1 / mass;
+                    let cc = clamp(c);
+                    let mut s2 = 0.0;
+                    for (i, &p) in col.iter().enumerate() {
+                        let e = (p - lo) - cc;
+                        s2 += weight(i) * (e * e);
+                    }
+                    let q = s2 / mass * (1.0 + (k + 8.0) * E + mu) + 4.0 * E * w * w;
+                    (c, q, ((k + 4.0) * E + mu) * w)
+                } else {
+                    // CAST: u32 child ids widen to usize
+                    let (a, b) = (nd.left as usize, nd.right as usize);
+                    let fa = self.node_mass(nd.left) / mass;
+                    let fb = self.node_mass(nd.right) / mass;
+                    let ga = (self.node_lo[a * d + j] - lo) + cent[a * d + j];
+                    let gb = (self.node_lo[b * d + j] - lo) + cent[b * d + j];
+                    let c = fa * ga + fb * gb;
+                    let cc = clamp(c);
+                    let beta = 2.0 * E * w;
+                    let ta = q_up[a * d + j] + ((ga - cc).abs() + beta + rho[a * d + j]).powi(2);
+                    let tb = q_up[b * d + j] + ((gb - cc).abs() + beta + rho[b * d + j]).powi(2);
+                    let q = (fa * ta + fb * tb) * (1.0 + 8.0 * E + 2.0 * mu);
+                    let r =
+                        (rho[a * d + j].max(rho[b * d + j]) + (6.0 * E + 2.0 * mu) * w) * (1.0 + E);
+                    (c, q, r)
+                };
+                // `w >= 0.0` is false for NaN and for an inverted box.
+                if c.is_finite() && q.is_finite() && r.is_finite() && w >= 0.0 {
+                    cent[at] = clamp(c);
+                    q_up[at] = q;
+                    rho[at] = r;
+                    let rw = r + E * w;
+                    spread[at] = (q + bbox::CENTROID_ERROR_WEIGHT * (rw * rw)) * (1.0 + 4.0 * E);
+                } else {
+                    cent[at] = 0.0;
+                    q_up[at] = f64::INFINITY;
+                    rho[at] = f64::INFINITY;
+                    spread[at] = f64::INFINITY;
+                }
+            }
+        }
+        self.cent = cent;
+        self.spread = spread;
     }
 
     /// Recursively builds the subtree over rows `[start, end)` at `depth`.
@@ -493,18 +637,49 @@ impl KdTree {
         &self.node_hi[off..off + self.dim]
     }
 
-    /// Scaled squared distance bounds `(u_min, u_max)` from `x` to the
-    /// bounding box of node `id` (Eq. 6's distance vectors).
+    /// Weighted centroid of node `id`'s points, per axis, as an offset
+    /// from [`Self::box_lo`]: the centroid is `box_lo(id)[j] + offset[j]`,
+    /// with `0 ≤ offset[j] ≤ box_hi(id)[j] − box_lo(id)[j]`. Storing the
+    /// offset keeps the rounding error of the centroid proportional to
+    /// the node's width, not to the magnitude of its coordinates.
+    #[inline]
+    pub(crate) fn centroid_offset(&self, id: u32) -> &[f64] {
+        let off = id as usize * self.dim; // CAST: u32 id widens to usize
+        &self.cent[off..off + self.dim]
+    }
+
+    /// Per-axis spread of node `id`: an upper bound on the weighted mean
+    /// squared deviation of its points from the stored centroid (see
+    /// [`Self::centroid_offset`]), widened by the tiny centroid-error term
+    /// of [`bbox::scaled_sq_dist_min_mean`]. `+∞` on an axis whose
+    /// moments are not finite (NaN or infinite coordinates).
+    #[inline]
+    pub(crate) fn spread(&self, id: u32) -> &[f64] {
+        let off = id as usize * self.dim; // CAST: u32 id widens to usize
+        &self.spread[off..off + self.dim]
+    }
+
+    /// The traversal's node distances `(u_min, ū)` from `x` to node
+    /// `id`: the scaled squared distance to the nearest point of its box
+    /// (Eq. 6's `d_min`) and the mean scaled squared distance to its
+    /// points, rounded up ([`bbox::scaled_sq_dist_min_mean`] documents
+    /// the rounding). `W·K(u_min)` and `W·K(ū)` bound the node's density
+    /// contribution from above and below.
     ///
     /// This is the hot layer of `BoundDensity` at d ≥ 8, not the leaf
-    /// sum: a held-out d = 8 query costs 544 bound evaluations against
-    /// 58 kernel evaluations (`kernel.share` 0.031), and the bootstrap
-    /// runs about 17 million of them. Hence one fused, branch-free pass
-    /// over the box ([`bbox::scaled_sq_dist_bounds`]), bit-identical to
-    /// the two single-sided distances.
+    /// sum: a held-out d = 8 query costs 341 bound evaluations against
+    /// 42 kernel evaluations, hence one fused, branch-free pass over the
+    /// box and the moments.
     #[inline]
-    pub fn scaled_sq_dist_bounds(&self, id: u32, x: &[f64], inv_h: &[f64]) -> (f64, f64) {
-        bbox::scaled_sq_dist_bounds(x, self.box_lo(id), self.box_hi(id), inv_h)
+    pub fn scaled_sq_dist_min_mean(&self, id: u32, x: &[f64], inv_h: &[f64]) -> (f64, f64) {
+        bbox::scaled_sq_dist_min_mean(
+            x,
+            self.box_lo(id),
+            self.box_hi(id),
+            self.centroid_offset(id),
+            self.spread(id),
+            inv_h,
+        )
     }
 
     /// Contiguous row-major coordinate block of the points under node
@@ -686,10 +861,13 @@ impl KdTree {
             masses,
             soa: Vec::new(),
             soa_off: Vec::new(),
+            cent: Vec::new(),
+            spread: Vec::new(),
         };
-        // The SoA leaf cache is derived state, rebuilt on load like the
-        // node masses.
+        // The SoA leaf cache and the node moments are derived state,
+        // rebuilt on load like the node masses.
         tree.build_soa();
+        tree.build_moments();
         Ok(tree)
     }
 
@@ -920,6 +1098,24 @@ mod tests {
         }
     }
 
+    /// Bit patterns of a slice, so NaN, ±0 and ±∞ compare as themselves.
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every node's centroid offset and spread agree bit for bit.
+    fn assert_same_moments(a: &KdTree, b: &KdTree) {
+        assert_eq!(a.node_count(), b.node_count());
+        for id in 0..a.node_count() as u32 {
+            assert_eq!(
+                bits(a.centroid_offset(id)),
+                bits(b.centroid_offset(id)),
+                "node {id}"
+            );
+            assert_eq!(bits(a.spread(id)), bits(b.spread(id)), "node {id}");
+        }
+    }
+
     #[test]
     fn soa_cache_survives_raw_roundtrip() {
         let data = random_matrix(250, 3, 47);
@@ -930,6 +1126,83 @@ mod tests {
                 assert_eq!(tree.node_block_soa(id), back.node_block_soa(id));
             }
         }
+        assert_same_moments(&tree, &back);
+    }
+
+    #[test]
+    fn moments_match_a_direct_pass_over_each_node() {
+        let mut rng = Rng::seed_from(71);
+        for d in [1usize, 3, 8] {
+            let data = random_matrix(700, d, 61 + d as u64);
+            let weights: Vec<f64> = (0..700).map(|_| rng.uniform(0.1, 10.0)).collect();
+            let trees = [
+                KdTree::build(&data, 8, SplitRule::TrimmedMidpoint).unwrap(),
+                KdTree::build_weighted(&data, &weights, 8, SplitRule::Median).unwrap(),
+            ];
+            for tree in &trees {
+                for id in 0..tree.node_count() as u32 {
+                    let w = |i: usize| tree.node_weights(id).map_or(1.0, |w| w[i]);
+                    let mass: f64 = (0..tree.count(id)).map(w).sum();
+                    let (lo, hi) = (tree.box_lo(id), tree.box_hi(id));
+                    for j in 0..d {
+                        let col = || tree.node_points(id).enumerate().map(|(i, p)| (w(i), p[j]));
+                        let c: f64 = col().map(|(wi, x)| wi * x).sum::<f64>() / mass;
+                        let v: f64 = col().map(|(wi, x)| wi * (x - c).powi(2)).sum::<f64>() / mass;
+                        let off = tree.centroid_offset(id)[j];
+                        let spread = tree.spread(id)[j];
+                        let width = hi[j] - lo[j];
+                        assert!((0.0..=width).contains(&off), "node {id} axis {j}");
+                        assert!(
+                            (lo[j] + off - c).abs() <= 1e-12 * width,
+                            "node {id} axis {j}"
+                        );
+                        // Rounded up, never down, and by a hair only.
+                        assert!(spread >= v, "node {id} axis {j}: {spread} < {v}");
+                        assert!(spread <= v * (1.0 + 1e-9) + 1e-12 * width * width);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_width_axes_have_exact_moments() {
+        // A constant column and an all-duplicate dataset: offset and
+        // spread are exactly 0 there, so the mean distance equals the
+        // box distance up to the documented round-up alone.
+        let rows: Vec<Vec<f64>> = (0..64).map(|i| vec![1e6 + 0.5, f64::from(i)]).collect();
+        let data = Matrix::from_rows(&rows).unwrap();
+        let tree = KdTree::build(&data, 4, SplitRule::TrimmedMidpoint).unwrap();
+        for id in 0..tree.node_count() as u32 {
+            assert_eq!(tree.centroid_offset(id)[0].to_bits(), 0.0f64.to_bits());
+            assert_eq!(tree.spread(id)[0].to_bits(), 0.0f64.to_bits());
+        }
+        let dup = Matrix::from_rows(&vec![vec![-3.25, 7.0]; 20]).unwrap();
+        let tree = KdTree::build(&dup, 4, SplitRule::TrimmedMidpoint).unwrap();
+        assert_eq!(bits(tree.spread(0)), bits(&[0.0, 0.0]));
+        let (umin, umean) = tree.scaled_sq_dist_min_mean(0, &[0.0, 0.0], &[1.0, 2.0]);
+        assert_eq!(umin.to_bits(), (3.25f64 * 3.25 + 14.0 * 14.0).to_bits());
+        assert_eq!(umean.to_bits(), (umin * bbox::MEAN_ROUND_UP).to_bits());
+    }
+
+    #[test]
+    fn non_finite_coordinates_give_infinite_spread_not_nan() {
+        let mut rows: Vec<Vec<f64>> = (0..40).map(|i| vec![f64::from(i), 1.0]).collect();
+        rows[7][1] = f64::NAN;
+        rows[30][0] = f64::INFINITY;
+        let data = Matrix::from_rows(&rows).unwrap();
+        let tree = KdTree::build(&data, 4, SplitRule::TrimmedMidpoint).unwrap();
+        let back = KdTree::from_raw_parts(tree.to_raw_parts()).unwrap();
+        assert_same_moments(&tree, &back);
+        for id in 0..tree.node_count() as u32 {
+            for (&c, &v) in tree.centroid_offset(id).iter().zip(tree.spread(id)) {
+                assert!(c.is_finite() && !v.is_nan(), "node {id}: ({c}, {v})");
+            }
+            let (_, umean) = tree.scaled_sq_dist_min_mean(id, &[3.0, 1.0], &[1.0, 1.0]);
+            assert!(!umean.is_nan(), "node {id}");
+        }
+        // The root holds both poisoned rows: its lower bound is trivial.
+        assert_eq!(tree.spread(0), &[f64::INFINITY, f64::INFINITY]);
     }
 
     #[test]
@@ -942,20 +1215,24 @@ mod tests {
     }
 
     #[test]
-    fn dist_bounds_sandwich_point_distances() {
+    fn min_dist_bounds_every_point_and_mean_dist_bounds_their_mean() {
         let data = random_matrix(300, 2, 11);
         let tree = KdTree::build(&data, 16, SplitRule::TrimmedMidpoint).unwrap();
         let inv_h = [1.0, 1.0];
         let q = [0.5, -0.25];
-        // Check every node: all contained points must respect the bounds.
+        // Every node: each contained point is at least u_min away, and
+        // their mean distance is at most ū.
         for id in 0..tree.node_count() as u32 {
-            let (umin, umax) = tree.scaled_sq_dist_bounds(id, &q, &inv_h);
+            let (umin, umean) = tree.scaled_sq_dist_min_mean(id, &q, &inv_h);
+            let mut sum = 0.0;
             for p in tree.node_points(id) {
                 let dx = q[0] - p[0];
                 let dy = q[1] - p[1];
                 let u = dx * dx + dy * dy;
-                assert!(u >= umin - 1e-12 && u <= umax + 1e-12);
+                assert!(u >= umin - 1e-12);
+                sum += u;
             }
+            assert!(sum / tree.count(id) as f64 <= umean, "node {id}");
         }
     }
 
@@ -1048,6 +1325,7 @@ mod tests {
             assert_eq!(tree.node_mass(id).to_bits(), back.node_mass(id).to_bits());
         }
         assert_eq!(tree.node_weights(0), back.node_weights(0));
+        assert_same_moments(&tree, &back);
     }
 
     #[test]

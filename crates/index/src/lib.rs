@@ -17,7 +17,7 @@ pub mod grid;
 pub mod kdtree;
 pub mod knn;
 
-pub use bbox::{max_scaled_sq_dist, min_scaled_sq_dist};
+pub use bbox::min_scaled_sq_dist;
 pub use grid::{BandwidthGrid, GridRaw, MAX_GRID_DIM};
 pub use kdtree::{KdTree, KdTreeRaw, SplitRule};
 pub use knn::{k_nearest, Neighbor};

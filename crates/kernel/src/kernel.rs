@@ -2,9 +2,10 @@
 //!
 //! Every evaluation is phrased in terms of the *scaled squared distance*
 //! `u(x, y) = Σ_i ((x_i − y_i) / h_i)²`. Both supported kernels are
-//! monotonically non-increasing in `u`, which is exactly the property the
-//! spatial bounds need: the closest corner of a bounding box maximizes the
-//! kernel and the farthest corner minimizes it.
+//! monotonically non-increasing and convex in `u`, which are exactly the
+//! properties the spatial bounds need: the nearest point of a bounding
+//! box maximizes the kernel, and by Jensen's inequality the kernel of the
+//! mean `u` over a node's points is at most their mean kernel value.
 
 use tkdc_common::error::{invalid_param, Error, Result};
 use tkdc_common::order::ln_gamma;
