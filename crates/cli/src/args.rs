@@ -29,7 +29,6 @@ pub const COMMON_FLAGS: &[&str] = &[
     "columns",
     "threads",
     "quiet",
-    "trace-out",
     "trace-sample",
     "coreset-eps",
     "compactor",
@@ -64,7 +63,6 @@ pub const SERVE_FLAGS: &[&str] = &[
     "max-conns",
     "timeout-ms",
     "quiet",
-    "trace-out",
     "trace-sample",
     "metrics-addr",
     "slow-ms",
@@ -78,7 +76,7 @@ pub const STATS_FLAGS: &[&str] = &["addr", "watch", "interval-ms", "count", "qui
 
 /// Flags the `explain` subcommand understands (one query point against a
 /// saved model; the point itself is a positional argument or `--point`).
-pub const EXPLAIN_FLAGS: &[&str] = &["model", "point", "trace-out", "span-out", "quiet"];
+pub const EXPLAIN_FLAGS: &[&str] = &["model", "point", "span-out", "quiet"];
 
 impl Flags {
     /// Parses `args`, validating every flag against `allowed`.
@@ -162,11 +160,11 @@ impl Flags {
         }
     }
 
-    /// Trace sampling interval from `--trace-sample`: record every
-    /// `n`-th query (default 1 = all; 0 disables tracing even when a
-    /// `--trace-out` sink is set).
+    /// Query sampling interval from `--trace-sample`: record every
+    /// `n`-th query of a batch into the `--span-out` stream (default 0 =
+    /// none; sampling needs a `.jsonl` `--span-out`).
     pub fn trace_every(&self) -> Result<u64> {
-        Ok(self.get_u64("trace-sample")?.unwrap_or(1))
+        Ok(self.get_u64("trace-sample")?.unwrap_or(0))
     }
 
     /// Coreset accuracy from `--coreset-eps` (`None` = full-data fit).
@@ -421,15 +419,19 @@ mod tests {
     #[test]
     fn trace_flags() {
         let f = Flags::parse(
-            &argv(&["--trace-out", "t.jsonl", "--trace-sample", "8"]),
+            &argv(&["--span-out", "t.jsonl", "--trace-sample", "8"]),
             COMMON_FLAGS,
         )
         .unwrap();
-        assert_eq!(f.get("trace-out"), Some("t.jsonl"));
+        assert_eq!(f.get("span-out"), Some("t.jsonl"));
         assert_eq!(f.trace_every().unwrap(), 8);
-        // Default: trace every query.
+        // Default: sampling is opt-in.
         let f = Flags::parse(&argv(&[]), COMMON_FLAGS).unwrap();
-        assert_eq!(f.trace_every().unwrap(), 1);
+        assert_eq!(f.trace_every().unwrap(), 0);
+        // The retired per-query sink flag is gone everywhere.
+        for allowed in [COMMON_FLAGS, SERVE_FLAGS, EXPLAIN_FLAGS] {
+            assert!(Flags::parse(&argv(&["--trace-out", "t.jsonl"]), allowed).is_err());
+        }
     }
 
     #[test]

@@ -5,12 +5,13 @@ use crate::args::{
 };
 use std::io::{BufRead, Write};
 use tkdc::model_io::{load_model, save_model};
-use tkdc::{Classifier, ExecPolicy, Label, Params, QueryTrace, Spans, TraceWriter};
+use tkdc::span::check_sink;
+use tkdc::{Classifier, Ctx, ExecPolicy, Label, Params, Spans, TraceRecord};
 use tkdc_common::csv::{read_csv, CsvOptions};
 use tkdc_common::error::Result;
 use tkdc_common::Matrix;
 use tkdc_coreset::{CoresetConfig, StreamingCoreset, WeightedCoreset};
-use tkdc_obs::{chrome_trace_json, complete_spans, span_v2_lines, Registry, SpanRecord};
+use tkdc_obs::{complete_spans, render_for_path, Registry};
 use tkdc_serve::{Client, ServeConfig, Server, StatsSnapshot};
 
 const USAGE: &str = "\
@@ -56,13 +57,13 @@ SHARED FLAGS:
                         (default: all available cores; results are
                         identical for any thread count)
     --quiet             suppress progress logging
-    --trace-out FILE    classify/density/serve: append per-query traces
-                        to FILE as tkdc-trace/v1 JSONL (see DESIGN.md)
-    --trace-sample N    trace every N-th query by batch index
-                        (default 1 = all; 0 disables tracing)
-    --span-out FILE     write a stage-level span trace of the run:
-                        `.jsonl` → tkdc-trace/v2 records, anything else
-                        → Chrome trace_event JSON (open in Perfetto)
+    --span-out FILE     write the run's trace stream: `.jsonl` →
+                        tkdc-trace/v2 records (stage spans plus any
+                        sampled query records), anything else → Chrome
+                        trace_event JSON of the spans (open in Perfetto)
+    --trace-sample N    also record every N-th query of each batch by
+                        index as a query record (default 0 = none;
+                        needs a `.jsonl` --span-out; see DESIGN.md)
     --coreset-eps E     train/compact: build an ε-accurate weighted
                         coreset (ε in units of K(0)) and fold ε into the
                         certified interval — straddling queries report
@@ -85,8 +86,8 @@ SHARED FLAGS:
 EXPLAIN FLAGS:
     --point X,Y,...     the query point (or pass it positionally)
     --model FILE        saved model to query
-    --trace-out FILE    also write the trace as tkdc-trace/v1 JSONL
-    --span-out FILE     also write the query's span trace (see above)
+    --span-out FILE     also write the query's trace stream (see above;
+                        the query record itself needs a `.jsonl` path)
 
 SERVE FLAGS:
     --addr HOST:PORT    listen address (default 127.0.0.1:7117; port 0
@@ -101,8 +102,11 @@ SERVE FLAGS:
                         (default 100; 0 logs every request)
     --slow-log FILE     slow-query log, tkdc-slowlog/v1 JSONL with a
                         per-stage span breakdown per entry
-    --span-out FILE     on shutdown, write a span trace of every served
-                        request (format by extension, see above)
+    --span-out FILE     trace every served request: `.jsonl` appends
+                        each request's records as it finishes; any
+                        other path gets Chrome JSON at shutdown
+    --trace-sample N    also record every N-th query of each request
+                        (needs a `.jsonl` --span-out)
 
 STATS FLAGS:
     --addr HOST:PORT    daemon to poll (default 127.0.0.1:7117)
@@ -159,6 +163,7 @@ fn load_input(flags: &Flags) -> Result<Matrix> {
 fn fit(flags: &Flags, data: &Matrix, spans: &Spans) -> Result<Classifier> {
     let params = flags.params()?;
     let threads = flags.threads()?;
+    let ctx = ctx_for(flags, spans)?;
     if !flags.has("quiet") {
         eprintln!(
             "training on {} rows × {} cols (p={}, ε={}, kernel={:?}, backend={}, {threads} threads) …",
@@ -196,14 +201,7 @@ fn fit(flags: &Flags, data: &Matrix, spans: &Spans) -> Result<Classifier> {
                 points.rows()
             );
         }
-        Classifier::fit_weighted_with_spans(
-            &points,
-            &weights,
-            eps,
-            &params,
-            ExecPolicy::with_threads(threads),
-            spans,
-        )?
+        Classifier::fit_weighted_with(&points, &weights, eps, &params, ctx)?
     } else if let Some(eps) = flags.coreset_eps()? {
         // Compact in-process, then fit on the weighted coreset with ε
         // folded into the certified interval.
@@ -223,16 +221,9 @@ fn fit(flags: &Flags, data: &Matrix, spans: &Spans) -> Result<Classifier> {
             );
             report_coreset_counters(&cs);
         }
-        Classifier::fit_weighted_with_spans(
-            &cs.points,
-            &cs.weights,
-            eps,
-            &params,
-            ExecPolicy::with_threads(threads),
-            spans,
-        )?
+        Classifier::fit_weighted_with(&cs.points, &cs.weights, eps, &params, ctx)?
     } else {
-        Classifier::fit_with_spans(data, &params, ExecPolicy::with_threads(threads), spans)?
+        Classifier::fit_with(data, &params, ctx)?
     };
     if !flags.has("quiet") {
         eprintln!("threshold t(p) = {:.6e}", clf.threshold());
@@ -409,37 +400,34 @@ fn emit(flags: &Flags, lines: impl Iterator<Item = String>) -> Result<()> {
     Ok(())
 }
 
-/// Writes a batch's sampled traces to `path` as `tkdc-trace/v1` JSONL.
-fn write_trace_file(path: &str, traces: &[QueryTrace]) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut w = TraceWriter::new(std::io::BufWriter::new(file));
-    w.write_all(traces)?;
-    Ok(())
+/// The run's trace handle: recording when `--span-out` was given
+/// (sampling every `--trace-sample`-th query), inert otherwise. Fails
+/// when sampling is asked for without a `.jsonl` `--span-out`, the only
+/// format that carries query records.
+fn spans_for(flags: &Flags) -> Result<Spans> {
+    let path = flags.get("span-out");
+    let every = flags.trace_every()?;
+    check_sink(path.map(std::path::Path::new), every)?;
+    Ok(match path {
+        Some(_) => Spans::enabled().sampling(every),
+        None => Spans::off(),
+    })
 }
 
-/// A recording span handle when `--span-out` was given, inert otherwise.
-fn spans_for(flags: &Flags) -> Spans {
-    if flags.get("span-out").is_some() {
-        Spans::enabled()
-    } else {
-        Spans::off()
-    }
+/// The engine call context of a run: `--threads` workers, recording
+/// into `spans`.
+fn ctx_for(flags: &Flags, spans: &Spans) -> Result<Ctx> {
+    Ok(Ctx {
+        policy: ExecPolicy::with_threads(flags.threads()?),
+        obs: spans.clone(),
+    })
 }
 
-/// Writes drained span records to `path`; the format follows the
+/// Writes drained trace records to `path`; the format follows the
 /// extension — `.jsonl` gets `tkdc-trace/v2` records, anything else a
-/// Chrome `trace_event` JSON document (loadable in Perfetto).
-fn write_span_file(path: &str, records: &[SpanRecord]) -> Result<()> {
-    let text = if path.ends_with(".jsonl") {
-        let mut lines = span_v2_lines(records);
-        if !lines.is_empty() {
-            lines.push('\n');
-        }
-        lines
-    } else {
-        chrome_trace_json(records)
-    };
-    std::fs::write(path, text)?;
+/// Chrome `trace_event` JSON document of the spans (Perfetto).
+fn write_span_file(path: &str, records: &[TraceRecord]) -> Result<()> {
+    std::fs::write(path, render_for_path(std::path::Path::new(path), records))?;
     Ok(())
 }
 
@@ -458,7 +446,7 @@ fn train(args: &[String]) -> Result<()> {
     let flags = Flags::parse(args, COMMON_FLAGS)?;
     let data = load_input(&flags)?;
     let model_path = flags.require("model")?;
-    let spans = spans_for(&flags);
+    let spans = spans_for(&flags)?;
     let clf = fit(&flags, &data, &spans)?;
     save_model(&clf, model_path)?;
     maybe_write_spans(&flags, &spans)?;
@@ -473,19 +461,10 @@ fn classify(args: &[String]) -> Result<()> {
     let model_path = flags.require("model")?;
     let clf = load_model(model_path)?;
     let queries = load_input(&flags)?;
-    let policy = ExecPolicy::with_threads(flags.threads()?);
-    let spans = spans_for(&flags);
+    let spans = spans_for(&flags)?;
     // Owned queries ride into the pool job without a copy.
     let queries = tkdc_sync::Arc::new(queries);
-    let (labels, stats) = match flags.get("trace-out") {
-        Some(path) => {
-            let (labels, stats, traces) =
-                clf.classify_batch_traced_spanned(queries, policy, flags.trace_every()?, &spans)?;
-            write_trace_file(path, &traces)?;
-            (labels, stats)
-        }
-        None => clf.classify_batch_shared_spanned(queries, policy, &spans)?,
-    };
+    let (labels, stats) = clf.classify_batch_shared(queries, ctx_for(&flags, &spans)?)?;
     maybe_write_spans(&flags, &spans)?;
     emit(
         &flags,
@@ -514,20 +493,9 @@ fn density(args: &[String]) -> Result<()> {
     let clf = load_model(model_path)?;
     let queries = load_input(&flags)?;
     let n_queries = queries.rows();
-    let policy = ExecPolicy::with_threads(flags.threads()?);
-    let spans = spans_for(&flags);
+    let spans = spans_for(&flags)?;
     let queries = tkdc_sync::Arc::new(queries);
-    let (bounds, stats) = match flags.get("trace-out") {
-        // The traced density path has no spanned variant; `--span-out`
-        // yields an empty trace when combined with `--trace-out`.
-        Some(path) => {
-            let (bounds, stats, traces) =
-                clf.bound_density_batch_traced(queries, policy, flags.trace_every()?)?;
-            write_trace_file(path, &traces)?;
-            (bounds, stats)
-        }
-        None => clf.bound_density_batch_shared_spanned(queries, policy, &spans)?,
-    };
+    let (bounds, stats) = clf.bound_density_batch_shared(queries, ctx_for(&flags, &spans)?)?;
     maybe_write_spans(&flags, &spans)?;
     emit(
         &flags,
@@ -549,14 +517,12 @@ fn density(args: &[String]) -> Result<()> {
 fn outliers(args: &[String]) -> Result<()> {
     let flags = Flags::parse(args, COMMON_FLAGS)?;
     let data = load_input(&flags)?;
-    let spans = spans_for(&flags);
+    let spans = spans_for(&flags)?;
     let clf = fit(&flags, &data, &spans)?;
     // The fit only borrowed the rows; share them with the pool job.
     let data = tkdc_sync::Arc::new(data);
-    let (labels, _) = clf.classify_batch_shared(
-        tkdc_sync::Arc::clone(&data),
-        ExecPolicy::with_threads(flags.threads()?),
-    )?;
+    let ctx = ctx_for(&flags, &spans)?;
+    let (labels, _) = clf.classify_batch_shared(tkdc_sync::Arc::clone(&data), ctx)?;
     maybe_write_spans(&flags, &spans)?;
     let lines = labels
         .iter()
@@ -600,7 +566,6 @@ fn serve(args: &[String]) -> Result<()> {
             Some(ms) => std::time::Duration::from_millis(ms),
             None => ServeConfig::default().timeout,
         },
-        trace_out: flags.get("trace-out").map(std::path::PathBuf::from),
         trace_every: flags.trace_every()?,
         metrics_addr: flags.get("metrics-addr").map(str::to_string),
         slow_ms: flags.get_u64("slow-ms")?,
@@ -741,22 +706,19 @@ fn explain(args: &[String]) -> Result<()> {
     queries.push_row(&point)?;
     // Serial + sample-every-1 so the single query is always traced;
     // spans always record here so the stage breakdown below is free.
-    let spans = Spans::enabled();
-    let (labels, _stats, traces) = clf.classify_batch_traced_spanned(
-        tkdc_sync::Arc::new(queries),
-        ExecPolicy::Serial,
-        1,
-        &spans,
-    )?;
-    let trace = traces
-        .first()
+    let ctx = Ctx {
+        policy: ExecPolicy::Serial,
+        obs: Spans::enabled().sampling(1),
+    };
+    let spans = ctx.obs.clone();
+    let (labels, _stats) = clf.classify_batch_shared(tkdc_sync::Arc::new(queries), ctx)?;
+    let records = spans.take();
+    let trace = records
+        .iter()
+        .find_map(TraceRecord::as_query)
         .ok_or_else(|| usage_error("engine returned no trace for the query"))?;
-    if let Some(path) = flags.get("trace-out") {
-        write_trace_file(path, &traces)?;
-    }
-    let span_records = spans.take();
     if let Some(path) = flags.get("span-out") {
-        write_span_file(path, &span_records)?;
+        write_span_file(path, &records)?;
     }
 
     println!("query point    : {point:?}");
@@ -817,7 +779,7 @@ fn explain(args: &[String]) -> Result<()> {
         }
     }
     // Stage-level span breakdown: where the query's wall time went.
-    let stages = complete_spans(&span_records);
+    let stages = complete_spans(&records);
     if !stages.is_empty() {
         println!();
         println!("span breakdown :");
@@ -837,7 +799,7 @@ fn explain(args: &[String]) -> Result<()> {
 fn threshold(args: &[String]) -> Result<()> {
     let flags = Flags::parse(args, COMMON_FLAGS)?;
     let data = load_input(&flags)?;
-    let spans = spans_for(&flags);
+    let spans = spans_for(&flags)?;
     let clf = fit(&flags, &data, &spans)?;
     maybe_write_spans(&flags, &spans)?;
     let report = clf.fit_report();
@@ -878,6 +840,32 @@ mod tests {
         }
         rows.push([50.0, 50.0]);
         rows
+    }
+
+    fn argv(s: &[&str]) -> Vec<String> {
+        s.iter().map(|x| x.to_string()).collect()
+    }
+
+    /// A fresh scratch directory `name` holding `data.csv` (the sample
+    /// data) and `model.tkdc` trained on it; returns the directory and
+    /// both paths.
+    fn trained(name: &str) -> (std::path::PathBuf, String, String) {
+        let dir = std::env::temp_dir().join(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |f: &str| dir.join(f).to_str().unwrap().to_string();
+        let (data, model) = (path("data.csv"), path("model.tkdc"));
+        write_csv(std::path::Path::new(&data), &sample_data());
+        run(&argv(&[
+            "train", "--input", &data, "--model", &model, "--quiet",
+        ]))
+        .unwrap();
+        (dir, data, model)
+    }
+
+    /// The lines of a trace stream holding records of `kind`.
+    fn kind_lines<'a>(trace: &'a str, kind: &str) -> Vec<&'a str> {
+        let tag = format!("\"kind\":\"{kind}\"");
+        trace.lines().filter(|l| l.contains(&tag)).collect()
     }
 
     #[test]
@@ -997,36 +985,29 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `density` emits one bounds line per row, and with a sampling
+    /// `.jsonl` sink records its classify stages and one query record
+    /// per sampled index into the one stream.
     #[test]
     fn density_subcommand_emits_bounds() {
-        let dir = std::env::temp_dir().join("tkdc_cli_test_density");
-        std::fs::create_dir_all(&dir).unwrap();
-        let data_path = dir.join("data.csv");
-        let model_path = dir.join("model.tkdc");
-        let out_path = dir.join("bounds.csv");
-        write_csv(&data_path, &sample_data());
-        let argv = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        run(&argv(&[
-            "train",
-            "--input",
-            data_path.to_str().unwrap(),
-            "--model",
-            model_path.to_str().unwrap(),
-            "--quiet",
-        ]))
-        .unwrap();
+        let (dir, data, model) = trained("tkdc_cli_test_density");
+        let (out, trace_path) = (dir.join("bounds.csv"), dir.join("f.jsonl"));
         run(&argv(&[
             "density",
             "--model",
-            model_path.to_str().unwrap(),
+            &model,
             "--input",
-            data_path.to_str().unwrap(),
+            &data,
             "--output",
-            out_path.to_str().unwrap(),
+            out.to_str().unwrap(),
+            "--span-out",
+            trace_path.to_str().unwrap(),
+            "--trace-sample",
+            "1",
             "--quiet",
         ]))
         .unwrap();
-        let out = std::fs::read_to_string(&out_path).unwrap();
+        let out = std::fs::read_to_string(&out).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 601);
         // Each line: lower,upper,cause with lower <= upper.
@@ -1037,142 +1018,126 @@ mod tests {
             let hi: f64 = parts[1].parse().unwrap();
             assert!(lo <= hi);
         }
+        let trace = std::fs::read_to_string(&trace_path).unwrap();
+        assert_eq!(kind_lines(&trace, "query").len(), 601);
+        let spans = kind_lines(&trace, "span");
+        for stage in [
+            "classify.dispatch",
+            "classify.traversal",
+            "classify.reassembly",
+        ] {
+            let tag = format!("\"name\":\"{stage}\"");
+            assert_eq!(
+                spans.iter().filter(|l| l.contains(&tag)).count(),
+                2,
+                "{stage}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn parallel_classify_flag_accepted() {
-        let dir = std::env::temp_dir().join("tkdc_cli_test_par");
-        std::fs::create_dir_all(&dir).unwrap();
-        let data_path = dir.join("data.csv");
-        let model_path = dir.join("model.tkdc");
-        let out_path = dir.join("labels.txt");
-        write_csv(&data_path, &sample_data());
-        let argv = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        run(&argv(&[
-            "train",
-            "--input",
-            data_path.to_str().unwrap(),
-            "--model",
-            model_path.to_str().unwrap(),
-            "--quiet",
-        ]))
-        .unwrap();
+        let (dir, data, model) = trained("tkdc_cli_test_par");
+        let out = dir.join("labels.txt");
         run(&argv(&[
             "classify",
             "--model",
-            model_path.to_str().unwrap(),
+            &model,
             "--input",
-            data_path.to_str().unwrap(),
+            &data,
             "--threads",
             "4",
             "--output",
-            out_path.to_str().unwrap(),
+            out.to_str().unwrap(),
             "--quiet",
         ]))
         .unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&out_path).unwrap().lines().count(),
-            601
-        );
+        assert_eq!(std::fs::read_to_string(&out).unwrap().lines().count(), 601);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn explain_runs_and_writes_trace() {
-        let dir = std::env::temp_dir().join("tkdc_cli_test_explain");
-        std::fs::create_dir_all(&dir).unwrap();
-        let data_path = dir.join("data.csv");
-        let model_path = dir.join("model.tkdc");
+        let (dir, _, model) = trained("tkdc_cli_test_explain");
         let trace_path = dir.join("explain.jsonl");
-        write_csv(&data_path, &sample_data());
-        let argv = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        run(&argv(&[
-            "train",
-            "--input",
-            data_path.to_str().unwrap(),
-            "--model",
-            model_path.to_str().unwrap(),
-            "--quiet",
-        ]))
-        .unwrap();
-        // Positional point form.
+        // Positional point form; `--span-out` writes the query record
+        // and its spans into one stream.
+        let trace_arg = trace_path.to_str().unwrap();
         run(&argv(&[
             "explain",
             "0.1,0.2",
             "--model",
-            model_path.to_str().unwrap(),
-            "--trace-out",
-            trace_path.to_str().unwrap(),
+            &model,
+            "--span-out",
+            trace_arg,
         ]))
         .unwrap();
         let trace = std::fs::read_to_string(&trace_path).unwrap();
-        assert_eq!(trace.lines().count(), 1);
-        assert!(trace.contains("\"schema\":\"tkdc-trace/v1\""));
-        assert!(trace.contains("\"query\":0"));
+        let queries = kind_lines(&trace, "query");
+        assert_eq!(queries.len(), 1, "{trace}");
+        assert!(queries[0].starts_with("{\"schema\":\"tkdc-trace/v2\""));
+        assert!(queries[0].contains("\"query\":0"));
+        assert!(trace.contains("\"name\":\"classify.dispatch\""), "{trace}");
         // `--point` form; rejects giving both, rejects bad coordinates.
-        run(&argv(&[
-            "explain",
-            "--point",
-            "0.1,0.2",
-            "--model",
-            model_path.to_str().unwrap(),
-        ]))
-        .unwrap();
+        run(&argv(&["explain", "--point", "0.1,0.2", "--model", &model])).unwrap();
         assert!(run(&argv(&["explain", "0,0", "--point", "1,1"])).is_err());
-        assert!(run(&argv(&[
-            "explain",
-            "0,zebra",
-            "--model",
-            model_path.to_str().unwrap()
-        ]))
-        .is_err());
+        assert!(run(&argv(&["explain", "0,zebra", "--model", &model])).is_err());
         assert!(run(&argv(&["explain", "--model", "m.tkdc"])).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn classify_trace_out_writes_jsonl() {
-        let dir = std::env::temp_dir().join("tkdc_cli_test_traceout");
-        std::fs::create_dir_all(&dir).unwrap();
-        let data_path = dir.join("data.csv");
-        let model_path = dir.join("model.tkdc");
-        let out_path = dir.join("labels.txt");
+    fn classify_span_out_samples_query_records() {
+        let (dir, data, model) = trained("tkdc_cli_test_traceout");
+        let out = dir.join("labels.txt");
+        let classify = |trace: &std::path::Path, sample: &str| {
+            run(&argv(&[
+                "classify",
+                "--model",
+                &model,
+                "--input",
+                &data,
+                "--output",
+                out.to_str().unwrap(),
+                "--span-out",
+                trace.to_str().unwrap(),
+                "--trace-sample",
+                sample,
+                "--threads",
+                "2",
+                "--quiet",
+            ]))
+        };
         let trace_path = dir.join("trace.jsonl");
-        write_csv(&data_path, &sample_data());
-        let argv = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        run(&argv(&[
-            "train",
-            "--input",
-            data_path.to_str().unwrap(),
-            "--model",
-            model_path.to_str().unwrap(),
-            "--quiet",
-        ]))
-        .unwrap();
-        run(&argv(&[
-            "classify",
-            "--model",
-            model_path.to_str().unwrap(),
-            "--input",
-            data_path.to_str().unwrap(),
-            "--output",
-            out_path.to_str().unwrap(),
-            "--trace-out",
-            trace_path.to_str().unwrap(),
-            "--trace-sample",
-            "100",
-            "--threads",
-            "2",
-            "--quiet",
-        ]))
-        .unwrap();
+        classify(&trace_path, "100").unwrap();
         let trace = std::fs::read_to_string(&trace_path).unwrap();
-        // 601 queries sampled every 100th by index: 0, 100, ..., 600.
-        assert_eq!(trace.lines().count(), 7);
         assert!(trace
             .lines()
-            .all(|l| l.starts_with("{\"schema\":\"tkdc-trace/v1\"")));
+            .all(|l| l.starts_with("{\"schema\":\"tkdc-trace/v2\"")));
+        // 601 queries sampled every 100th by index: 0, 100, ..., 600.
+        let queries = kind_lines(&trace, "query");
+        assert_eq!(queries.len(), 7);
+        assert!(queries[6].contains("\"query\":600,"));
+        assert!(trace.contains("\"name\":\"classify.traversal\""));
+
+        // Sampling needs somewhere to put query records: a Chrome JSON
+        // sink, or no sink at all, is a named usage error.
+        let chrome = dir.join("trace.json");
+        let err = classify(&chrome, "3").unwrap_err().to_string();
+        assert!(err.contains("would be written as Chrome JSON"), "{err}");
+        assert!(!chrome.exists(), "nothing is written on a usage error");
+        let no_sink = [
+            "classify",
+            "--model",
+            &model,
+            "--input",
+            &data,
+            "--trace-sample",
+            "3",
+        ];
+        let err = run(&argv(&no_sink)).unwrap_err().to_string();
+        assert!(err.contains("needs a `.jsonl` span sink"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1338,30 +1303,24 @@ mod tests {
 
     #[test]
     fn span_out_writes_v2_and_chrome_traces() {
-        let dir = std::env::temp_dir().join("tkdc_cli_test_spanout");
-        std::fs::create_dir_all(&dir).unwrap();
-        let data_path = dir.join("data.csv");
-        let model_path = dir.join("model.tkdc");
-        let out_path = dir.join("labels.txt");
-        let fit_spans = dir.join("fit_spans.jsonl");
-        let classify_spans = dir.join("classify_spans.json");
-        let explain_spans = dir.join("explain_spans.json");
-        write_csv(&data_path, &sample_data());
-        let argv = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        let (dir, data, model) = trained("tkdc_cli_test_spanout");
+        let file = |f: &str| dir.join(f).to_str().unwrap().to_string();
+        let (out, fit_spans) = (file("labels.txt"), file("fit_spans.jsonl"));
+        let (classify_spans, explain_spans) = (file("classify_spans.json"), file("explain.json"));
         // `.jsonl` extension → tkdc-trace/v2 records of the fit stages.
-        run(&argv(&[
+        let train = [
             "train",
             "--input",
-            data_path.to_str().unwrap(),
+            &data,
             "--model",
-            model_path.to_str().unwrap(),
+            &model,
             "--span-out",
-            fit_spans.to_str().unwrap(),
-            "--quiet",
-        ]))
-        .unwrap();
+            &fit_spans,
+        ];
+        run(&argv(&train)).unwrap();
         let v2 = std::fs::read_to_string(&fit_spans).unwrap();
         assert!(v2.lines().count() >= 6, "enter+exit per fit stage: {v2}");
+        assert_eq!(kind_lines(&v2, "span").len(), v2.lines().count(), "{v2}");
         assert!(v2
             .lines()
             .all(|l| l.starts_with("{\"schema\":\"tkdc-trace/v2\"")));
@@ -1372,13 +1331,13 @@ mod tests {
         run(&argv(&[
             "classify",
             "--model",
-            model_path.to_str().unwrap(),
+            &model,
             "--input",
-            data_path.to_str().unwrap(),
+            &data,
             "--output",
-            out_path.to_str().unwrap(),
+            &out,
             "--span-out",
-            classify_spans.to_str().unwrap(),
+            &classify_spans,
             "--threads",
             "2",
             "--quiet",
@@ -1388,39 +1347,27 @@ mod tests {
         assert!(chrome.starts_with("{\"traceEvents\":["), "{chrome}");
         assert!(chrome.contains("\"classify.traversal\""));
         assert!(chrome.contains("\"classify.leaf_sum\""));
-        // `explain --span-out` writes the single query's spans too.
+        // `explain --span-out` writes the single query's spans too; Chrome
+        // JSON carries spans only (the query record went to stdout).
         run(&argv(&[
             "explain",
             "0.1,0.2",
             "--model",
-            model_path.to_str().unwrap(),
+            &model,
             "--span-out",
-            explain_spans.to_str().unwrap(),
+            &explain_spans,
         ]))
         .unwrap();
         let explain = std::fs::read_to_string(&explain_spans).unwrap();
         assert!(explain.contains("\"classify.dispatch\""), "{explain}");
+        assert!(!explain.contains("\"cause\""), "{explain}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn stats_subcommand_polls_a_live_daemon() {
-        let dir = std::env::temp_dir().join("tkdc_cli_test_stats");
-        std::fs::create_dir_all(&dir).unwrap();
-        let data_path = dir.join("data.csv");
-        let model_path = dir.join("model.tkdc");
-        write_csv(&data_path, &sample_data());
-        let argv = |s: &[&str]| s.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        run(&argv(&[
-            "train",
-            "--input",
-            data_path.to_str().unwrap(),
-            "--model",
-            model_path.to_str().unwrap(),
-            "--quiet",
-        ]))
-        .unwrap();
-        let clf = load_model(model_path.to_str().unwrap()).unwrap();
+        let (dir, _, model) = trained("tkdc_cli_test_stats");
+        let clf = load_model(&model).unwrap();
         let config = ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             ..ServeConfig::default()

@@ -21,8 +21,7 @@ use crate::params::{BackendSpec, Params};
 use crate::qstats::{PruneCause, QueryScratch, QueryStats};
 use crate::span::Spans;
 use crate::threshold::{bootstrap, BootstrapReport, ThresholdBounds};
-#[cfg(feature = "obs")]
-use crate::trace::{QueryTrace, Tracer};
+use crate::trace::Tracer;
 use tkdc_common::error::{invalid_param, Error, Result};
 use tkdc_common::order::quantile_in_place;
 use tkdc_common::Matrix;
@@ -50,9 +49,9 @@ pub enum Label {
     Unknown,
 }
 
-/// Execution policy for the fit and batch entry points
+/// Execution policy of the fit and batch entry points
 /// ([`Classifier::fit_with`], [`Classifier::classify_batch_with`] and
-/// their siblings).
+/// the other `_with`/`_shared` calls), carried in their [`Ctx`].
 ///
 /// Every batch consumer in the workspace (CLI, benchmark harnesses, the
 /// `tkdc-serve` daemon) goes through it. Labels, bounds, thresholds and
@@ -104,6 +103,33 @@ impl ExecPolicy {
                         .unwrap_or(1)
                 })
                 .max(1),
+        }
+    }
+}
+
+/// Call context of the fit and batch entry points: how to schedule the
+/// work and what to record about it.
+///
+/// Every entry point takes `impl Into<Ctx>`, and an [`ExecPolicy`]
+/// converts into a context that records nothing, so
+/// `clf.classify_batch_with(&queries, ExecPolicy::Serial)` is the plain
+/// call. Attach a recording [`Spans`] handle to get the stage spans of
+/// the call and, with [`Spans::sampling`], its sampled per-query traces
+/// — one stream, drained with [`Spans::take`]. Recording never changes
+/// labels, bounds, thresholds or merged [`QueryStats`].
+#[derive(Debug, Clone, Default)]
+pub struct Ctx {
+    /// How many threads share the work.
+    pub policy: ExecPolicy,
+    /// Where spans and sampled query traces go (inert by default).
+    pub obs: Spans,
+}
+
+impl From<ExecPolicy> for Ctx {
+    fn from(policy: ExecPolicy) -> Self {
+        Self {
+            policy,
+            obs: Spans::off(),
         }
     }
 }
@@ -195,35 +221,22 @@ impl Classifier {
     /// [`BackendSpec::Hbe`] skips the bootstrap and takes the threshold
     /// directly from the estimated training densities.
     ///
-    /// # Errors
-    /// Propagates parameter-validation, empty-input and numeric errors.
-    pub fn fit_with(data: &Matrix, params: &Params, policy: ExecPolicy) -> Result<Self> {
-        Self::fit_with_spans(data, params, policy, &Spans::off())
-    }
-
-    /// [`Self::fit_with`] with stage spans: the fit phases (bootstrap,
-    /// index/sketch build, training-density threshold pass) record
-    /// `fit.*` spans into `spans`. With an inert handle (or the `obs`
-    /// feature off) this *is* `fit_with`.
+    /// A recording `ctx.obs` gets one `fit.*` span per phase (bootstrap,
+    /// index/sketch build, training-density threshold pass); the fit's
+    /// internal density passes trace no queries.
     ///
     /// # Errors
     /// Propagates parameter-validation, empty-input and numeric errors.
-    pub fn fit_with_spans(
-        data: &Matrix,
-        params: &Params,
-        policy: ExecPolicy,
-        spans: &Spans,
-    ) -> Result<Self> {
+    pub fn fit_with(data: &Matrix, params: &Params, ctx: impl Into<Ctx>) -> Result<Self> {
+        let ctx = ctx.into();
         params.validate()?;
         if data.rows() == 0 {
             return Err(Error::EmptyInput("training data"));
         }
         let pool = Pool::new();
         let (model, fit_report) = match params.backend {
-            BackendSpec::Tree => Self::fit_tree(&pool, data, params, policy, spans)?,
-            BackendSpec::Hbe(_) => {
-                Self::fit_estimated(&pool, data, None, 0.0, params, policy, spans)?
-            }
+            BackendSpec::Tree => Self::fit_tree(&pool, data, params, &ctx)?,
+            BackendSpec::Hbe(_) => Self::fit_estimated(&pool, data, None, 0.0, params, &ctx)?,
         };
         Ok(Self::from_model(model, fit_report, pool))
     }
@@ -231,26 +244,25 @@ impl Classifier {
     /// The tree-backend fit: threshold bootstrap (Algorithm 3), grid
     /// cache around the bootstrap's full-data index, and the pruned
     /// training-density pass. Inputs are pre-validated by
-    /// [`Self::fit_with_spans`].
+    /// [`Self::fit_with`].
     fn fit_tree(
         pool: &Pool,
         data: &Matrix,
         params: &Params,
-        policy: ExecPolicy,
-        spans: &Spans,
+        ctx: &Ctx,
     ) -> Result<(Model, FitReport)> {
         // Phase 1: probabilistic threshold bounds (Algorithm 3). Its
         // final round trains on all of `data` with the model's leaf
         // size, split rule and bandwidth, so its tree and kernel are the
         // model's index and kernel.
         let boot = {
-            let _span = spans.enter("fit.bootstrap");
-            bootstrap(pool, data, params, policy)?
+            let _span = ctx.obs.enter("fit.bootstrap");
+            bootstrap(pool, data, params, ctx.policy)?
         };
         let mut bounds = boot.bounds;
 
         // Phase 2: the model backend around the full index and kernel.
-        let build_span = spans.enter("fit.tree_build");
+        let build_span = ctx.obs.enter("fit.tree_build");
         let kernel = boot.kernel;
         let n = data.rows() as f64;
         let self_contrib = kernel.max_value() / n;
@@ -273,7 +285,7 @@ impl Classifier {
             params.epsilon,
         ));
         drop(build_span);
-        let _threshold_span = spans.enter("fit.threshold");
+        let _threshold_span = ctx.obs.enter("fit.threshold");
 
         // Phase 3: density bounds for every training point → t̃(p).
         // Each row's cuts act on its self-corrected density f(x) − f₀
@@ -292,12 +304,10 @@ impl Classifier {
         let threshold = loop {
             let (t_lo, t_hi) = (bounds.lower, bounds.upper);
             let b = Arc::clone(&tb);
-            let (mut densities, stats, _) = drive_batch(
+            let (mut densities, stats) = drive_batch(
                 pool,
                 data.rows(),
-                policy,
-                &Spans::off(),
-                0,
+                &Ctx::from(ctx.policy),
                 move |i, scratch| {
                     let x = b.tree().point(i);
                     // The grid can certify obvious inliers without traversal;
@@ -369,8 +379,7 @@ impl Classifier {
         weights: Option<&[f64]>,
         coreset_eps: f64,
         params: &Params,
-        policy: ExecPolicy,
-        spans: &Spans,
+        ctx: &Ctx,
     ) -> Result<(Model, FitReport)> {
         // fit_with / fit_weighted_with route Tree elsewhere.
         let BackendSpec::Hbe(hp) = params.backend else {
@@ -406,7 +415,7 @@ impl Classifier {
         };
         let kernel = Kernel::new(params.kernel, h)?;
 
-        let build_span = spans.enter("fit.backend_build");
+        let build_span = ctx.obs.enter("fit.backend_build");
         let hb = Arc::new(HbeBackend::build(
             data.clone(),
             weights.map(|ws| ws.to_vec()),
@@ -416,11 +425,11 @@ impl Classifier {
             params.seed,
         ));
         drop(build_span);
-        let _threshold_span = spans.enter("fit.threshold");
+        let _threshold_span = ctx.obs.enter("fit.threshold");
 
         // The training-density pass walks the rows the sketch keeps.
         let backend = BackendImpl::Hbe(Arc::clone(&hb));
-        fit_relative(pool, policy, params, backend, hb, w_total, coreset_eps)
+        fit_relative(pool, ctx.policy, params, backend, hb, w_total, coreset_eps)
     }
 
     /// Trains a classifier on a *weighted* dataset — typically a coreset
@@ -460,9 +469,10 @@ impl Classifier {
     }
 
     /// [`Self::fit_weighted`] with the density pass work-stolen across
-    /// the policy's resolved thread count. Bit-identical to the serial
+    /// the context's resolved thread count. Bit-identical to the serial
     /// path for every thread count: densities come back in index order
-    /// and the weighted quantile sorts them deterministically.
+    /// and the weighted quantile sorts them deterministically. Spans
+    /// record as for [`Self::fit_with`].
     ///
     /// # Errors
     /// See [`Self::fit_weighted`].
@@ -471,24 +481,9 @@ impl Classifier {
         weights: &[f64],
         coreset_eps: f64,
         params: &Params,
-        policy: ExecPolicy,
+        ctx: impl Into<Ctx>,
     ) -> Result<Self> {
-        Self::fit_weighted_with_spans(data, weights, coreset_eps, params, policy, &Spans::off())
-    }
-
-    /// [`Self::fit_weighted_with`] with stage spans (see
-    /// [`Self::fit_with_spans`] for the span contract).
-    ///
-    /// # Errors
-    /// See [`Self::fit_weighted`].
-    pub fn fit_weighted_with_spans(
-        data: &Matrix,
-        weights: &[f64],
-        coreset_eps: f64,
-        params: &Params,
-        policy: ExecPolicy,
-        spans: &Spans,
-    ) -> Result<Self> {
+        let ctx = ctx.into();
         params.validate()?;
         if data.rows() == 0 {
             return Err(Error::EmptyInput("training data"));
@@ -507,35 +502,28 @@ impl Classifier {
         let pool = Pool::new();
         let (model, fit_report) = match params.backend {
             BackendSpec::Tree => {
-                Self::fit_weighted_tree(&pool, data, weights, coreset_eps, params, policy, spans)?
+                Self::fit_weighted_tree(&pool, data, weights, coreset_eps, params, &ctx)?
             }
-            BackendSpec::Hbe(_) => Self::fit_estimated(
-                &pool,
-                data,
-                Some(weights),
-                coreset_eps,
-                params,
-                policy,
-                spans,
-            )?,
+            BackendSpec::Hbe(_) => {
+                Self::fit_estimated(&pool, data, Some(weights), coreset_eps, params, &ctx)?
+            }
         };
         Ok(Self::from_model(model, fit_report, pool))
     }
 
     /// The tree-backend weighted fit. Inputs are pre-validated by
-    /// [`Self::fit_weighted_with_spans`].
+    /// [`Self::fit_weighted_with`].
     fn fit_weighted_tree(
         pool: &Pool,
         data: &Matrix,
         weights: &[f64],
         coreset_eps: f64,
         params: &Params,
-        policy: ExecPolicy,
-        spans: &Spans,
+        ctx: &Ctx,
     ) -> Result<(Model, FitReport)> {
         // Weight-aware index: node masses replace point counts in every
         // density bound the traversal computes.
-        let build_span = spans.enter("fit.tree_build");
+        let build_span = ctx.obs.enter("fit.tree_build");
         let tree = Arc::new(KdTree::build_weighted(
             data,
             weights,
@@ -561,9 +549,17 @@ impl Classifier {
         )));
 
         drop(build_span);
-        let _threshold_span = spans.enter("fit.threshold");
+        let _threshold_span = ctx.obs.enter("fit.threshold");
 
-        fit_relative(pool, policy, params, backend, tree, w_total, coreset_eps)
+        fit_relative(
+            pool,
+            ctx.policy,
+            params,
+            backend,
+            tree,
+            w_total,
+            coreset_eps,
+        )
     }
 
     /// Reassembles a tree-backend classifier from persisted parts (see
@@ -1019,10 +1015,10 @@ impl Classifier {
         self.model.exact_density(x)
     }
 
-    /// Classifies every row of `queries` under the given execution
+    /// Classifies every row of `queries` under the context's execution
     /// policy, returning labels in query order plus the aggregated
     /// traversal statistics. Labels and statistics are identical for
-    /// every policy and thread count.
+    /// every policy and thread count, and with recording on or off.
     ///
     /// [`ExecPolicy::Parallel`] batches run on the classifier's
     /// persistent work-stealing pool — parked workers wake, drain the
@@ -1031,6 +1027,16 @@ impl Classifier {
     /// borrowed entry point copies the query matrix once per batch;
     /// callers that own their queries should hand them over with
     /// [`Self::classify_batch_shared`] instead.
+    ///
+    /// A recording `ctx.obs` receives `classify.*` spans recorded on the
+    /// submitting thread — `dispatch` (policy resolution and setup),
+    /// `traversal` (the whole execution), `reassembly` (merging worker
+    /// outputs) — plus one synthetic `classify.leaf_sum` span per worker
+    /// scratch carrying that worker's accumulated leaf kernel-sum time
+    /// (each on its own derived track so per-track enter/exit streams
+    /// stay well-formed). With [`Spans::sampling`] it also receives one
+    /// query record per sampled index (every `every`-th), sorted by
+    /// query index and therefore identical at every thread count.
     ///
     /// The paper evaluates single-threaded throughput; the parallel
     /// policy is the "embarrassingly parallel queries" extension
@@ -1042,9 +1048,9 @@ impl Classifier {
     pub fn classify_batch_with(
         &self,
         queries: &Matrix,
-        policy: ExecPolicy,
+        ctx: impl Into<Ctx>,
     ) -> Result<(Vec<Label>, QueryStats)> {
-        self.classify_batch_shared(Arc::new(queries.clone()), policy)
+        self.classify_batch_shared(Arc::new(queries.clone()), ctx)
     }
 
     /// [`Self::classify_batch_with`] over shared queries: the zero-copy
@@ -1059,140 +1065,52 @@ impl Classifier {
     pub fn classify_batch_shared(
         &self,
         queries: Arc<Matrix>,
-        policy: ExecPolicy,
+        ctx: impl Into<Ctx>,
     ) -> Result<(Vec<Label>, QueryStats)> {
-        self.classify_batch_shared_spanned(queries, policy, &Spans::off())
-    }
-
-    /// [`Self::classify_batch_shared`] with stage spans: `classify.*`
-    /// spans recorded on the submitting thread — `dispatch` (policy
-    /// resolution and setup), `traversal` (the whole execution),
-    /// `reassembly` (merging worker outputs) — plus one synthetic
-    /// `classify.leaf_sum` span per worker scratch carrying that
-    /// worker's accumulated leaf kernel-sum time (each on its own
-    /// derived track so per-track enter/exit streams stay well-formed).
-    /// Labels and merged statistics are identical to the unspanned
-    /// entry point.
-    ///
-    /// # Errors
-    /// Propagates dimension-mismatch and NaN-input errors.
-    pub fn classify_batch_shared_spanned(
-        &self,
-        queries: Arc<Matrix>,
-        policy: ExecPolicy,
-        spans: &Spans,
-    ) -> Result<(Vec<Label>, QueryStats)> {
-        let (labels, stats, _) = self.run(queries, policy, spans, 0, Model::classify_with)?;
-        Ok((labels, stats))
+        self.run(queries, &ctx.into(), Model::classify_with)
     }
 
     /// Density bounds ([`Self::bound_density_with`]) for every row of
-    /// `queries` under the given execution policy — the batch companion
-    /// of [`Self::classify_batch_with`] for callers that need certified
-    /// bounds rather than labels (same scheduling and copy contract).
+    /// `queries` — the batch companion of [`Self::classify_batch_with`]
+    /// for callers that need certified bounds rather than labels (same
+    /// scheduling, copy and recording contract).
     ///
     /// # Errors
     /// Propagates dimension-mismatch and NaN-input errors.
     pub fn bound_density_batch_with(
         &self,
         queries: &Matrix,
-        policy: ExecPolicy,
+        ctx: impl Into<Ctx>,
     ) -> Result<(Vec<DensityBounds>, QueryStats)> {
-        self.bound_density_batch_shared_spanned(Arc::new(queries.clone()), policy, &Spans::off())
+        self.bound_density_batch_shared(Arc::new(queries.clone()), ctx)
     }
 
-    /// Zero-copy density bounds with stage spans (same contract as
-    /// [`Self::classify_batch_shared_spanned`]).
+    /// [`Self::bound_density_batch_with`] over shared queries (the
+    /// zero-copy contract of [`Self::classify_batch_shared`]).
     ///
     /// # Errors
     /// Propagates dimension-mismatch and NaN-input errors.
-    pub fn bound_density_batch_shared_spanned(
+    pub fn bound_density_batch_shared(
         &self,
         queries: Arc<Matrix>,
-        policy: ExecPolicy,
-        spans: &Spans,
+        ctx: impl Into<Ctx>,
     ) -> Result<(Vec<DensityBounds>, QueryStats)> {
-        let (bounds, stats, _) = self.run(queries, policy, spans, 0, Model::bound_density_with)?;
-        Ok((bounds, stats))
-    }
-
-    /// [`Self::classify_batch_shared_spanned`] with per-query tracing:
-    /// labels and merged statistics are identical to the untraced entry
-    /// point; the third element holds one [`QueryTrace`] per sampled
-    /// query (every `every`-th index; `1` = all, `0` = none), sorted by
-    /// query index and therefore identical at every thread count. What
-    /// `tkdc explain` uses to print both a bound trajectory and a stage
-    /// breakdown from one run.
-    ///
-    /// # Errors
-    /// Propagates dimension-mismatch and NaN-input errors.
-    #[cfg(feature = "obs")]
-    pub fn classify_batch_traced_spanned(
-        &self,
-        queries: Arc<Matrix>,
-        policy: ExecPolicy,
-        every: u64,
-        spans: &Spans,
-    ) -> Result<(Vec<Label>, QueryStats, Vec<QueryTrace>)> {
-        self.run(queries, policy, spans, every, Model::classify_with)
-    }
-
-    /// Density bounds with per-query tracing (see
-    /// [`Self::classify_batch_traced_spanned`] for the sampling
-    /// contract).
-    ///
-    /// # Errors
-    /// Propagates dimension-mismatch and NaN-input errors.
-    #[cfg(feature = "obs")]
-    pub fn bound_density_batch_traced(
-        &self,
-        queries: Arc<Matrix>,
-        policy: ExecPolicy,
-        every: u64,
-    ) -> Result<(Vec<DensityBounds>, QueryStats, Vec<QueryTrace>)> {
-        self.run(
-            queries,
-            policy,
-            &Spans::off(),
-            every,
-            Model::bound_density_with,
-        )
+        self.run(queries, &ctx.into(), Model::bound_density_with)
     }
 
     /// Binds one per-query model operation to a query batch and hands it
     /// to [`drive_batch`] on the classifier's pool.
-    fn run<T, Op>(
-        &self,
-        queries: Arc<Matrix>,
-        policy: ExecPolicy,
-        spans: &Spans,
-        trace_every: u64,
-        op: Op,
-    ) -> Result<(Vec<T>, QueryStats, Traces)>
+    fn run<T, Op>(&self, queries: Arc<Matrix>, ctx: &Ctx, op: Op) -> Result<(Vec<T>, QueryStats)>
     where
         T: Send + 'static,
         Op: Fn(&Model, &[f64], &mut QueryScratch) -> Result<T> + Send + Sync + 'static,
     {
         let model = Arc::clone(&self.model);
-        drive_batch(
-            &self.pool,
-            queries.rows(),
-            policy,
-            spans,
-            trace_every,
-            move |i, scratch| op(&model, queries.row(i), scratch),
-        )
+        drive_batch(&self.pool, queries.rows(), ctx, move |i, scratch| {
+            op(&model, queries.row(i), scratch)
+        })
     }
 }
-
-/// Per-query traces a batch collected, sorted by query index (nothing
-/// without the `obs` feature, which compiles tracing out).
-#[cfg(feature = "obs")]
-pub(crate) type Traces = Vec<QueryTrace>;
-/// Per-query traces a batch collected (nothing without the `obs`
-/// feature, which compiles tracing out).
-#[cfg(not(feature = "obs"))]
-pub(crate) type Traces = ();
 
 /// The one batch driver: every parallel phase — the bootstrap rounds,
 /// the training-density pass and every classify/density batch — runs
@@ -1204,39 +1122,35 @@ pub(crate) type Traces = ();
 /// the per-worker [`QueryStats`] merge by summation, so the output is
 /// identical for every policy and thread count.
 ///
-/// Stage spans and per-query tracing are inputs: with `spans` enabled
-/// the batch records `classify.{dispatch,traversal,reassembly}` plus one
-/// `classify.leaf_sum` span per worker scratch, and `trace_every > 0`
-/// samples every `trace_every`-th query into the returned traces. With
-/// both off the driver reads no clock and leaves
-/// [`QueryScratch::time_leaves`] false.
+/// Recording follows `ctx.obs`: a recording handle gets
+/// `classify.{dispatch,traversal,reassembly}` plus one
+/// `classify.leaf_sum` span per worker scratch, and with sampling on,
+/// every `trace_every`-th query's trace, pushed sorted by query index
+/// during reassembly. With recording off the driver reads no clock and
+/// leaves [`QueryScratch::time_leaves`] false.
 pub(crate) fn drive_batch<T, F>(
     pool: &Pool,
     total: usize,
-    policy: ExecPolicy,
-    spans: &Spans,
-    trace_every: u64,
+    ctx: &Ctx,
     work: F,
-) -> Result<(Vec<T>, QueryStats, Traces)>
+) -> Result<(Vec<T>, QueryStats)>
 where
     T: Send + 'static,
     F: Fn(usize, &mut QueryScratch) -> Result<T> + Send + Sync + 'static,
 {
+    let spans = &ctx.obs;
     let dispatch_span = spans.enter("classify.dispatch");
-    let n_threads = policy.resolved_threads();
+    let n_threads = ctx.policy.resolved_threads();
     let time_leaves = spans.is_enabled();
+    let trace_every = spans.trace_every();
     let make_scratch = move || {
         let mut s = QueryScratch::new();
         s.time_leaves = time_leaves;
-        #[cfg(feature = "obs")]
-        {
-            s.tracer = Tracer::enabled(trace_every);
-        }
+        s.tracer = Tracer::enabled(trace_every);
         s
     };
-    let tracing = cfg!(feature = "obs") && trace_every > 0;
     let work = move |i: usize, scratch: &mut QueryScratch| {
-        if tracing {
+        if trace_every > 0 {
             scratch.begin_trace(i as u64); // CAST: batch index widens to u64
         }
         work(i, scratch)
@@ -1261,31 +1175,24 @@ where
 
     let _reassembly = spans.enter("classify.reassembly");
     let mut stats = QueryStats::default();
-    #[cfg(feature = "obs")]
     let mut traces = Vec::new();
     for (k, s) in inline.iter_mut().chain(pooled.iter_mut()).enumerate() {
         stats.merge(&s.stats);
-        #[cfg(feature = "obs")]
         traces.extend(s.tracer.take_traces());
         if s.leaf_ns > 0 {
             // Anchored at traversal start: the leaf time is an
             // accumulated share of that worker's traversal, not a
             // contiguous interval.
             // CAST: worker index is far below u64.
-            let track = leaf_track(spans.submitter_track(), k as u64);
+            let track = leaf_track(tkdc_obs::current_tid(), k as u64);
             spans.record_complete("classify.leaf_sum", track, t0, s.leaf_ns / 1000);
         }
     }
-    #[cfg(feature = "obs")]
-    {
+    if !traces.is_empty() {
         traces.sort_by_key(|t| t.query);
-        Ok((out, stats, traces))
+        spans.push_queries(traces);
     }
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = trace_every;
-        Ok((out, stats, ()))
-    }
+    Ok((out, stats))
 }
 
 /// Training rows a relative-precision fit pass walks, in their storage
@@ -1340,8 +1247,8 @@ fn fit_relative<R: TrainingRows>(
     let k0 = backend.as_dyn().kernel().max_value();
     let n = backend.as_dyn().n_train();
     let (b, r) = (backend.clone(), Arc::clone(&rows));
-    let (mut densities, training_stats, _) =
-        drive_batch(pool, n, policy, &Spans::off(), 0, move |i, scratch| {
+    let (mut densities, training_stats) =
+        drive_batch(pool, n, &Ctx::from(policy), move |i, scratch| {
             let self_i = r.weights().map_or(1.0, |ws| ws[i]) * k0 / w_total;
             let bd = b
                 .as_dyn()
@@ -1629,7 +1536,7 @@ mod tests {
             assert_eq!(b_stats, s_stats, "{policy:?}");
             let (borrowed, b_stats) = clf.bound_density_batch_with(&queries, policy).unwrap();
             let (shared, s_stats) = clf
-                .bound_density_batch_shared_spanned(queries.clone(), policy, &Spans::off())
+                .bound_density_batch_shared(queries.clone(), policy)
                 .unwrap();
             assert_eq!(borrowed.len(), shared.len(), "{policy:?}");
             for (b, s) in borrowed.iter().zip(&shared) {

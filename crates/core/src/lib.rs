@@ -45,10 +45,12 @@
 //!   threshold and tolerance pruning rules (Eq. 8–9).
 //! * [`threshold`] — the bootstrapped threshold estimator (Algorithm 3).
 //! * [`classifier`] — the end-to-end classifier (Algorithm 1), including
-//!   the grid cache fast path, the batch entry points
-//!   (`classify_batch_with` / `bound_density_batch_with`, scheduled by
-//!   [`classifier::ExecPolicy`]) and the one batch driver they, the
-//!   bootstrap and the training pass all run through.
+//!   the grid cache fast path, the fit (`fit_with`, `fit_weighted_with`)
+//!   and batch (`classify_batch_{with,shared}`,
+//!   `bound_density_batch_{with,shared}`) entry points — each takes a
+//!   [`Ctx`]: an [`ExecPolicy`] plus an optional [`Spans`] trace handle —
+//!   and the one batch driver they, the bootstrap and the training pass
+//!   all run through.
 //! * [`engine`] — the dependency-free work-stealing [`engine::Pool`]:
 //!   the one scheduler, created by each fit and kept by its classifier
 //!   for every parallel phase (bootstrap, training densities,
@@ -56,10 +58,10 @@
 //! * [`qstats`] — per-query and aggregate instrumentation (kernel
 //!   evaluations, node expansions, prune causes) used by the paper's
 //!   factor/lesion analyses (Fig. 12/16).
-//! * [`trace`] — per-query tracing hooks (the `tkdc-obs` adapter behind
-//!   the `obs` cargo feature; a zero-sized no-op without it).
-//! * [`span`] — stage-level timing spans over fit phases and batch
-//!   execution (same feature gating and vanishing pattern as [`trace`]).
+//! * [`trace`] — the per-scratch query tracer behind sampled
+//!   `tkdc-trace/v2` query records.
+//! * [`span`] — the [`Spans`] handle: stage spans over fit phases and
+//!   batch execution plus the sampled query records, into one sink.
 
 pub mod backend;
 pub mod bound;
@@ -74,12 +76,10 @@ pub mod threshold;
 pub mod trace;
 
 pub use backend::{BoundKind, DensityBackend, HbeBackend, TreeBackend};
-pub use classifier::{Classifier, ExecPolicy, Label};
+pub use classifier::{Classifier, Ctx, ExecPolicy, Label};
 pub use llr::{llr_bounds, llr_bounds_with_rtol, LlrBounds};
 pub use params::{BackendSpec, BootstrapParams, HbeParams, Optimizations, Params};
 pub use qstats::{PruneCause, QueryScratch, QueryStats};
-pub use span::Spans;
+pub use span::{Spans, TraceRecord};
 pub use threshold::ThresholdBounds;
-pub use trace::Tracer;
-#[cfg(feature = "obs")]
-pub use trace::{QueryTrace, TraceStep, TraceWriter, TRACE_SCHEMA};
+pub use trace::{QueryTrace, TraceStep, Tracer, TRACE_SCHEMA};

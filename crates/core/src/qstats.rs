@@ -30,7 +30,7 @@ pub enum PruneCause {
 }
 
 impl PruneCause {
-    /// Stable lowercase name used by trace records (`tkdc-trace/v1`) and
+    /// Stable lowercase name used by query trace records and
     /// metric labels. This is the dependency boundary with `tkdc-obs`:
     /// the observability layer sees causes only as these strings.
     pub fn as_str(&self) -> &'static str {
@@ -183,9 +183,10 @@ pub struct QueryScratch {
     /// When set, the traversal accumulates wall time spent in leaf
     /// kernel sums into [`Self::leaf_ns`]. Off by default — timing is
     /// nondeterministic, so it must never ride in [`QueryStats`]
-    /// (whose thread-invariance tests assert exact equality); spanned
-    /// batch drivers turn it on and emit the total as one synthetic
-    /// `classify.leaf_sum` span per worker scratch.
+    /// (whose thread-invariance tests assert exact equality); the batch
+    /// driver turns it on under a recording `Spans` handle and emits the
+    /// total as one synthetic `classify.leaf_sum` span per worker
+    /// scratch.
     pub time_leaves: bool,
     /// Nanoseconds spent in leaf kernel sums (see [`Self::time_leaves`]).
     pub leaf_ns: u64,

@@ -11,11 +11,10 @@
 //! multiplicatively backed off and the round retried.
 
 use crate::backend::TreeBackend;
-use crate::classifier::{drive_batch, ExecPolicy};
+use crate::classifier::{drive_batch, Ctx, ExecPolicy};
 use crate::engine::Pool;
 use crate::params::Params;
 use crate::qstats::QueryStats;
-use crate::span::Spans;
 use tkdc_common::error::{Error, Result};
 use tkdc_common::order::quantile_ci_ranks;
 use tkdc_common::{Matrix, Rng};
@@ -187,8 +186,8 @@ pub(crate) fn bootstrap(
         // Work-stolen across the pool; densities come back in index
         // order and the per-worker counters merge by summation, so the
         // round is bit-identical to a serial loop for every thread count.
-        let (mut densities, round_stats, _) =
-            drive_batch(pool, s, policy, &Spans::off(), 0, move |i, sc| {
+        let (mut densities, round_stats) =
+            drive_batch(pool, s, &Ctx::from(policy), move |i, sc| {
                 let b = round.bound_training_density(xs.row(i), t_lo, t_hi, self_contrib, sc);
                 Ok((b.midpoint() - self_contrib).max(0.0))
             })?;

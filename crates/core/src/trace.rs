@@ -3,14 +3,11 @@
 //! [`Tracer`] is the engine-side adapter between the hot loops
 //! (`bound.rs`, the grid fast path) and the plain-data trace records of
 //! `tkdc-obs`. It rides inside [`QueryScratch`] so the parallel engine
-//! threads it through workers for free, and it is built to vanish:
-//!
-//! * With the `obs` cargo feature disabled, [`Tracer`] is a zero-sized
-//!   struct whose methods are empty `#[inline]` bodies — the traversal
-//!   compiles exactly as before the observability layer existed.
-//! * With the feature on but the tracer inert (the default, or sampling
-//!   set to 0), every hook is guarded by [`Tracer::is_active`], a single
-//!   discriminant check.
+//! threads it through workers for free. Inert (the default, or sampling
+//! set to 0), every hook is guarded by [`Tracer::is_active`], a single
+//! discriminant check. A batch driver arms one per worker scratch from
+//! its call's [`Spans`](crate::Spans) handle and pushes the collected
+//! traces into that handle's sink.
 //!
 //! Sampling is by *query index* — a tracer built with
 //! [`Tracer::enabled`]`(every)` records queries whose batch index is a
@@ -23,17 +20,14 @@
 
 use crate::qstats::QueryStats;
 
-#[cfg(feature = "obs")]
-pub use tkdc_obs::{QueryTrace, TraceStep, TraceWriter, TRACE_SCHEMA};
+pub use tkdc_obs::{QueryTrace, TraceStep, TRACE_SCHEMA};
 
 /// Per-scratch trace recorder (see module docs). Inert by default.
-#[cfg(feature = "obs")]
 #[derive(Debug, Default)]
 pub struct Tracer {
     active: Option<ActiveTracer>,
 }
 
-#[cfg(feature = "obs")]
 #[derive(Debug)]
 struct ActiveTracer {
     /// Record queries whose index is a multiple of this.
@@ -44,7 +38,6 @@ struct ActiveTracer {
     traces: Vec<QueryTrace>,
 }
 
-#[cfg(feature = "obs")]
 #[derive(Debug)]
 struct Current {
     trace: QueryTrace,
@@ -54,13 +47,7 @@ struct Current {
     base: QueryStats,
 }
 
-#[cfg(feature = "obs")]
 impl Tracer {
-    /// An inert tracer: every hook is a no-op.
-    pub fn off() -> Self {
-        Self::default()
-    }
-
     /// A tracer that records every `every`-th query by index (`1` =
     /// every query, `0` = inert, matching "sampling at 0 disables").
     pub fn enabled(every: u64) -> Self {
@@ -75,11 +62,6 @@ impl Tracer {
                 }),
             }
         }
-    }
-
-    /// Whether this tracer records anything at all.
-    pub fn is_enabled(&self) -> bool {
-        self.active.is_some()
     }
 
     /// Whether a query is being traced *right now* — the guard the hot
@@ -168,55 +150,7 @@ impl Tracer {
     }
 }
 
-/// Feature-off stand-in: a zero-sized tracer whose hooks compile to
-/// nothing, so the traversal is bit-identical to the pre-observability
-/// engine.
-#[cfg(not(feature = "obs"))]
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Tracer;
-
-#[cfg(not(feature = "obs"))]
-impl Tracer {
-    /// An inert tracer (the only kind in a feature-off build).
-    #[inline]
-    pub fn off() -> Self {
-        Self
-    }
-
-    /// Always `false`: nothing records in a feature-off build.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        false
-    }
-
-    /// Always `false`: nothing records in a feature-off build.
-    #[inline]
-    pub fn is_active(&self) -> bool {
-        false
-    }
-
-    /// No-op.
-    #[inline]
-    pub fn begin(&mut self, _index: u64, _base: QueryStats) {}
-
-    /// No-op.
-    #[inline]
-    pub fn set_thresholds(&mut self, _t_lo: f64, _t_hi: f64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn step(&mut self, _stats: QueryStats, _lower: f64, _upper: f64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn finish(&mut self, _cause: &'static str, _stats: QueryStats, _lower: f64, _upper: f64) {}
-
-    /// No-op.
-    #[inline]
-    pub fn finish_grid(&mut self, _t: f64, _stats: QueryStats, _lower: f64) {}
-}
-
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 #[allow(clippy::float_cmp)] // exact-value asserts are deliberate in tests
 mod tests {
     use super::*;
@@ -232,8 +166,7 @@ mod tests {
 
     #[test]
     fn inert_tracer_records_nothing() {
-        for mut t in [Tracer::off(), Tracer::enabled(0)] {
-            assert!(!t.is_enabled());
+        for mut t in [Tracer::default(), Tracer::enabled(0)] {
             t.begin(0, QueryStats::default());
             assert!(!t.is_active());
             t.step(stats(1, 2, 3), 0.1, 0.2);
@@ -310,10 +243,12 @@ mod tests {
     fn unsampled_query_leaves_tracer_enabled_but_inactive() {
         let mut t = Tracer::enabled(2);
         t.begin(1, QueryStats::default());
-        assert!(t.is_enabled());
         assert!(!t.is_active());
         // finish on an inactive tracer is a no-op, not a panic.
         t.finish("exhausted", QueryStats::default(), 0.0, 0.0);
         assert!(t.take_traces().is_empty());
+        // The next sampled index arms it again.
+        t.begin(2, QueryStats::default());
+        assert!(t.is_active());
     }
 }

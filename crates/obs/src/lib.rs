@@ -13,16 +13,17 @@
 //!
 //! * [`trace`] — plain-data [`QueryTrace`] / [`TraceStep`] records of one
 //!   `BoundDensity` traversal (the per-refinement bound trajectory plus
-//!   final counters), serialized as one JSON object per line under the
-//!   versioned schema [`TRACE_SCHEMA`] (`tkdc-trace/v1`).
+//!   final counters), serialized as `"kind":"query"` lines of the one
+//!   trace schema [`TRACE_SCHEMA`] (`tkdc-trace/v2`).
 //! * [`registry`] — lock-free [`Counter`] / [`Gauge`] metrics and a
 //!   log-scale latency [`Histogram`], optionally grouped in a named
 //!   [`Registry`] whose [`RegistrySnapshot`] is what `tkdc-serve` ships
 //!   over the wire and the bench binaries record into `BENCH_*.json`.
 //! * [`span`] — hierarchical RAII timing spans ([`SpanSink`] /
-//!   [`SpanGuard`]) over a closed stage vocabulary ([`STAGES`]),
-//!   exported as `tkdc-trace/v2` JSONL or Chrome `trace_event` JSON
-//!   (perfetto-loadable).
+//!   [`SpanGuard`]) over a closed stage vocabulary ([`STAGES`]); the
+//!   sink also takes sampled query records, so one stream of
+//!   [`TraceRecord`]s exports as `tkdc-trace/v2` JSONL (both kinds) or
+//!   Chrome `trace_event` JSON (spans only, perfetto-loadable).
 //! * [`window`] — [`WindowedHistogram`]: a cumulative latency histogram
 //!   paired with a sliding-window view (ring of per-epoch
 //!   sub-histograms, rotate-on-write, skip-expired-on-read) so
@@ -32,8 +33,8 @@
 //!
 //! The crate deliberately knows nothing about the engine: prune causes
 //! arrive as strings, counters as `u64`s. `tkdc` (core) maps its own
-//! types onto these records behind its `obs` cargo feature, so this
-//! crate never becomes a dependency cycle and stays trivially portable.
+//! types onto these records, so this crate never becomes a dependency
+//! cycle and stays trivially portable.
 
 pub mod expo;
 pub mod registry;
@@ -44,10 +45,10 @@ pub mod window;
 pub use expo::{sanitize_name, Exposition};
 pub use registry::{Counter, Gauge, Histogram, Registry, RegistrySnapshot, HISTOGRAM_BUCKETS};
 pub use span::{
-    chrome_trace_json, complete_spans, current_tid, span_v2_lines, CompleteSpan, SpanGuard,
-    SpanPhase, SpanRecord, SpanSink, SPAN_SCHEMA, STAGES,
+    chrome_trace_json, complete_spans, current_tid, is_jsonl_path, render_for_path, trace_v2_lines,
+    CompleteSpan, SpanGuard, SpanPhase, SpanRecord, SpanSink, TraceRecord, STAGES,
 };
-pub use trace::{json_f64, json_string, QueryTrace, TraceStep, TraceWriter, TRACE_SCHEMA};
+pub use trace::{json_f64, json_string, QueryTrace, TraceStep, TRACE_SCHEMA};
 pub use window::{
     merge_buckets, quantile_from_buckets, WindowedHistogram, DEFAULT_SLOT_MILLIS,
     DEFAULT_WINDOW_SLOTS,

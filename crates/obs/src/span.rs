@@ -1,41 +1,48 @@
-//! Hierarchical timing spans and their two export formats.
+//! Hierarchical timing spans, the one trace sink, and its two export
+//! formats.
 //!
 //! A span is one named, monotonic-clock-timed interval on one thread.
 //! Spans nest: entering returns an RAII [`SpanGuard`] whose `Drop`
 //! records the exit, so the per-thread enter/exit stream is always
 //! well-formed (LIFO) — including under panic unwinding, where guard
-//! drops still run. All events funnel into one shared [`SpanSink`]
+//! drops still run. All records funnel into one shared [`SpanSink`]
 //! whose timestamps share a single monotonic base, so spans recorded by
 //! different threads (pool workers, serve connection handlers) land on
-//! one coherent timeline.
+//! one coherent timeline. The same sink also receives sampled
+//! per-query records ([`QueryTrace`]), in recording order between the
+//! spans of the batch that produced them: one stream of
+//! [`TraceRecord`]s.
 //!
-//! Two export formats render the same record stream:
+//! Two export formats render that stream:
 //!
-//! * **`tkdc-trace/v2` JSONL** ([`span_v2_lines`]) — one enter (`"B"`)
-//!   or exit (`"E"`) record per line, validated by
+//! * **`tkdc-trace/v2` JSONL** ([`trace_v2_lines`]) — every record, one
+//!   per line: span enters (`"B"`) and exits (`"E"`) plus query records
+//!   (`"kind":"query"`, see [`crate::trace`]), validated by
 //!   `cargo xtask check-trace` (balanced per-thread enter/exit,
-//!   monotonic timestamps, known stage names):
+//!   monotonic timestamps, known stage names and causes):
 //!
 //!   ```json
 //!   {"schema":"tkdc-trace/v2","kind":"span","ph":"B","name":"classify.traversal","tid":3,"ts_us":120}
 //!   {"schema":"tkdc-trace/v2","kind":"span","ph":"E","name":"classify.traversal","tid":3,"ts_us":645}
 //!   ```
 //!
-//! * **Chrome `trace_event` JSON** ([`chrome_trace_json`]) — an array of
-//!   complete (`"ph":"X"`) events loadable by Perfetto or
-//!   `chrome://tracing` for a flame-graph view of a run.
+//! * **Chrome `trace_event` JSON** ([`chrome_trace_json`]) — the span
+//!   records only, as an array of complete (`"ph":"X"`) events loadable
+//!   by Perfetto or `chrome://tracing` for a flame-graph view of a run.
+//!   It has no place for query records, which is why sinks that sample
+//!   queries must be `.jsonl` ([`is_jsonl_path`]).
 //!
 //! The stage-name vocabulary is closed ([`STAGES`]): the checker rejects
 //! unknown names, so a renamed instrumentation site fails CI instead of
 //! silently orphaning dashboards.
 
+use std::path::Path;
 use std::time::Instant;
 
 use tkdc_sync::atomic::{AtomicU64, Ordering};
 use tkdc_sync::{Arc, Mutex, OnceLock};
 
-/// Schema tag carried by every span record line.
-pub const SPAN_SCHEMA: &str = "tkdc-trace/v2";
+use crate::trace::{json_string, QueryTrace, TRACE_SCHEMA};
 
 /// The closed vocabulary of span stage names. `cargo xtask check-trace`
 /// rejects `tkdc-trace/v2` records whose name is not listed here (the
@@ -100,6 +107,53 @@ pub struct SpanRecord {
     pub ph: SpanPhase,
 }
 
+impl SpanRecord {
+    /// Renders the record as one `tkdc-trace/v2` span line (no trailing
+    /// newline).
+    pub fn to_json_line(&self) -> String {
+        let mut s = String::with_capacity(96);
+        s.push_str("{\"schema\":\"");
+        s.push_str(TRACE_SCHEMA);
+        s.push_str("\",\"kind\":\"span\",\"ph\":\"");
+        s.push_str(self.ph.as_str());
+        s.push_str("\",\"name\":");
+        s.push_str(&json_string(self.name));
+        s.push_str(",\"tid\":");
+        s.push_str(&self.tid.to_string());
+        s.push_str(",\"ts_us\":");
+        s.push_str(&self.ts_us.to_string());
+        s.push('}');
+        s
+    }
+}
+
+/// One record of a trace stream: a span event or a sampled query.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TraceRecord {
+    /// A span enter or exit.
+    Span(SpanRecord),
+    /// One sampled query's bound-refinement trace.
+    Query(QueryTrace),
+}
+
+impl TraceRecord {
+    /// The span event, if this is one.
+    pub fn as_span(&self) -> Option<&SpanRecord> {
+        match self {
+            TraceRecord::Span(s) => Some(s),
+            TraceRecord::Query(_) => None,
+        }
+    }
+
+    /// The query trace, if this is one.
+    pub fn as_query(&self) -> Option<&QueryTrace> {
+        match self {
+            TraceRecord::Query(q) => Some(q),
+            TraceRecord::Span(_) => None,
+        }
+    }
+}
+
 /// One completed span reconstructed from an enter/exit pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompleteSpan {
@@ -134,16 +188,18 @@ pub fn current_tid() -> u64 {
     TID.with(|t| *t)
 }
 
-/// A shared collector of span events with one monotonic time base.
+/// A shared collector of trace records with one monotonic time base.
 ///
 /// Cheap to share (`Arc`) across the threads participating in one unit
 /// of work (a fit, a batch, a serve request). Recording takes a short
 /// mutex; spans are stage-grained (per phase, per chunk, per request —
-/// never per query point), so the lock is far off any hot loop.
+/// never per query point) and a batch's sampled query records arrive
+/// in one push after its traversal, so the lock is far off any hot
+/// loop.
 #[derive(Debug)]
 pub struct SpanSink {
     base: Instant,
-    events: Mutex<Vec<SpanRecord>>,
+    events: Mutex<Vec<TraceRecord>>,
 }
 
 impl SpanSink {
@@ -172,7 +228,15 @@ impl SpanSink {
         // A poisoned sink (a panic while pushing) drops this event
         // rather than double-panicking inside a guard's Drop.
         if let Ok(mut ev) = self.events.lock() {
-            ev.push(rec);
+            ev.push(TraceRecord::Span(rec));
+        }
+    }
+
+    /// Appends sampled query records, in the given order, after every
+    /// record so far.
+    pub fn push_queries(&self, traces: Vec<QueryTrace>) {
+        if let Ok(mut ev) = self.events.lock() {
+            ev.extend(traces.into_iter().map(TraceRecord::Query));
         }
     }
 
@@ -213,17 +277,9 @@ impl SpanSink {
     }
 
     /// Drains every recorded event, in recording order.
-    pub fn take(&self) -> Vec<SpanRecord> {
+    pub fn take(&self) -> Vec<TraceRecord> {
         match self.events.lock() {
             Ok(mut ev) => std::mem::take(&mut *ev),
-            Err(_) => Vec::new(),
-        }
-    }
-
-    /// Copies the recorded events without draining.
-    pub fn records(&self) -> Vec<SpanRecord> {
-        match self.events.lock() {
-            Ok(ev) => ev.clone(),
             Err(_) => Vec::new(),
         }
     }
@@ -254,10 +310,12 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Pairs enter/exit records into [`CompleteSpan`]s via a per-track
-/// stack. Exits that match no open enter, and enters never exited, are
-/// dropped (they can only arise from truncated streams).
-pub fn complete_spans(records: &[SpanRecord]) -> Vec<CompleteSpan> {
+/// Pairs the span enter/exit records of a stream into
+/// [`CompleteSpan`]s via a per-track stack (query records are skipped).
+/// Exits that match no open enter, and enters never exited, are dropped
+/// (they can only arise from truncated streams).
+pub fn complete_spans(records: &[TraceRecord]) -> Vec<CompleteSpan> {
+    let records: Vec<&SpanRecord> = records.iter().filter_map(TraceRecord::as_span).collect();
     // Tracks are few (one per participating thread); a linear-scan map
     // keeps this dependency-free.
     let mut stacks: Vec<(u64, Vec<usize>)> = Vec::new();
@@ -275,7 +333,7 @@ pub fn complete_spans(records: &[SpanRecord]) -> Vec<CompleteSpan> {
             SpanPhase::Enter => stack.push(i),
             SpanPhase::Exit => {
                 if let Some(open) = stack.pop() {
-                    let enter = &records[open];
+                    let enter = records[open];
                     if enter.name == rec.name {
                         out.push(CompleteSpan {
                             name: enter.name,
@@ -294,33 +352,43 @@ pub fn complete_spans(records: &[SpanRecord]) -> Vec<CompleteSpan> {
     out
 }
 
-/// Renders records as `tkdc-trace/v2` JSONL (one record per line, no
-/// trailing newline on the last line; empty string for no records).
-pub fn span_v2_lines(records: &[SpanRecord]) -> String {
+/// Renders records as `tkdc-trace/v2` JSONL: every record, span and
+/// query alike, one per line, each line newline-terminated (empty
+/// string for no records) so successive renders append cleanly.
+pub fn trace_v2_lines(records: &[TraceRecord]) -> String {
     let mut s = String::with_capacity(records.len() * 96);
-    for (i, rec) in records.iter().enumerate() {
-        if i > 0 {
-            s.push('\n');
-        }
-        s.push_str("{\"schema\":\"");
-        s.push_str(SPAN_SCHEMA);
-        s.push_str("\",\"kind\":\"span\",\"ph\":\"");
-        s.push_str(rec.ph.as_str());
-        s.push_str("\",\"name\":");
-        s.push_str(&crate::trace::json_string(rec.name));
-        s.push_str(",\"tid\":");
-        s.push_str(&rec.tid.to_string());
-        s.push_str(",\"ts_us\":");
-        s.push_str(&rec.ts_us.to_string());
-        s.push('}');
+    for rec in records {
+        s.push_str(&match rec {
+            TraceRecord::Span(span) => span.to_json_line(),
+            TraceRecord::Query(query) => query.to_json_line(),
+        });
+        s.push('\n');
     }
     s
 }
 
-/// Renders records as a Chrome `trace_event` JSON document (an object
-/// with a `traceEvents` array of complete `"X"` events), loadable by
-/// Perfetto and `chrome://tracing`.
-pub fn chrome_trace_json(records: &[SpanRecord]) -> String {
+/// Whether a sink path selects `tkdc-trace/v2` JSONL (a `.jsonl`
+/// extension). Every other path gets Chrome `trace_event` JSON, which
+/// carries span records only.
+pub fn is_jsonl_path(path: &Path) -> bool {
+    path.extension().is_some_and(|e| e == "jsonl")
+}
+
+/// Renders records in the format `path` selects (see
+/// [`is_jsonl_path`]).
+pub fn render_for_path(path: &Path, records: &[TraceRecord]) -> String {
+    if is_jsonl_path(path) {
+        trace_v2_lines(records)
+    } else {
+        chrome_trace_json(records)
+    }
+}
+
+/// Renders the span records as a Chrome `trace_event` JSON document
+/// (an object with a `traceEvents` array of complete `"X"` events),
+/// loadable by Perfetto and `chrome://tracing`. Query records have no
+/// Chrome form and are left out.
+pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
     let spans = complete_spans(records);
     let mut s = String::with_capacity(64 + spans.len() * 112);
     s.push_str("{\"traceEvents\":[");
@@ -329,7 +397,7 @@ pub fn chrome_trace_json(records: &[SpanRecord]) -> String {
             s.push(',');
         }
         s.push_str("{\"name\":");
-        s.push_str(&crate::trace::json_string(sp.name));
+        s.push_str(&json_string(sp.name));
         s.push_str(",\"cat\":\"tkdc\",\"ph\":\"X\",\"pid\":1,\"tid\":");
         s.push_str(&sp.tid.to_string());
         s.push_str(",\"ts\":");
@@ -356,6 +424,29 @@ mod tests {
         );
     }
 
+    fn spans_of(records: Vec<TraceRecord>) -> Vec<SpanRecord> {
+        records
+            .iter()
+            .filter_map(TraceRecord::as_span)
+            .copied()
+            .collect()
+    }
+
+    fn query(index: u64) -> QueryTrace {
+        QueryTrace {
+            query: index,
+            t_lo: 1.0,
+            t_hi: 1.0,
+            cause: "threshold_low",
+            lower: 0.0,
+            upper: 0.5,
+            nodes_expanded: 1,
+            kernel_evals: 0,
+            bound_evals: 3,
+            steps: Vec::new(),
+        }
+    }
+
     #[test]
     fn guards_record_balanced_nested_events() {
         let sink = Arc::new(SpanSink::new());
@@ -363,7 +454,7 @@ mod tests {
             let _outer = sink.enter("serve.request");
             let _inner = sink.enter("serve.exec");
         }
-        let recs = sink.take();
+        let recs = spans_of(sink.take());
         assert_eq!(recs.len(), 4);
         assert_eq!(recs[0].ph, SpanPhase::Enter);
         assert_eq!(recs[0].name, "serve.request");
@@ -411,7 +502,7 @@ mod tests {
 
     #[test]
     fn unbalanced_records_are_dropped_not_mispaired() {
-        let recs = vec![
+        let recs: Vec<TraceRecord> = [
             SpanRecord {
                 name: "serve.request",
                 tid: 0,
@@ -432,23 +523,36 @@ mod tests {
                 ts_us: 9,
                 ph: SpanPhase::Exit,
             },
-        ];
+        ]
+        .into_iter()
+        .map(TraceRecord::Span)
+        .collect();
         assert!(complete_spans(&recs).is_empty());
     }
 
     #[test]
-    fn v2_lines_shape() {
+    fn v2_lines_interleave_spans_and_queries() {
         let sink = Arc::new(SpanSink::new());
-        drop(sink.enter("fit.bootstrap"));
-        let text = span_v2_lines(&sink.take());
+        {
+            let _reassembly = sink.enter("classify.reassembly");
+            sink.push_queries(vec![query(0), query(4)]);
+        }
+        let text = trace_v2_lines(&sink.take());
+        assert!(text.ends_with('\n'));
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), 4);
         assert!(
             lines[0].starts_with("{\"schema\":\"tkdc-trace/v2\",\"kind\":\"span\",\"ph\":\"B\"")
         );
-        assert!(lines[1].contains("\"ph\":\"E\""));
-        assert!(lines[0].contains("\"name\":\"fit.bootstrap\""));
-        assert!(span_v2_lines(&[]).is_empty());
+        assert!(lines[0].contains("\"name\":\"classify.reassembly\""));
+        // Query records land where they were pushed: inside the span.
+        for (line, index) in lines[1..3].iter().zip([0, 4]) {
+            let head =
+                format!("{{\"schema\":\"tkdc-trace/v2\",\"kind\":\"query\",\"query\":{index},");
+            assert!(line.starts_with(&head), "{line}");
+        }
+        assert!(lines[3].contains("\"ph\":\"E\""));
+        assert!(trace_v2_lines(&[]).is_empty());
     }
 
     #[test]
@@ -456,7 +560,7 @@ mod tests {
         let sink = Arc::new(SpanSink::new());
         drop(sink.enter("classify.dispatch"));
         sink.record_complete("classify.leaf_sum", 3, 1, 2);
-        let json = chrome_trace_json(&sink.records());
+        let json = chrome_trace_json(&sink.take());
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with("\"displayTimeUnit\":\"ms\"}"));
         assert!(json.contains("\"ph\":\"X\""));
@@ -473,7 +577,7 @@ mod tests {
             panic!("boom");
         });
         assert!(result.is_err());
-        let recs = sink.take();
+        let recs = spans_of(sink.take());
         assert_eq!(
             recs.len(),
             2,

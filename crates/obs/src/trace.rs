@@ -1,15 +1,18 @@
 //! Per-query trace records and their JSONL serialization.
 //!
-//! ## Schema (`tkdc-trace/v1`)
+//! ## Query records (`tkdc-trace/v2`, `"kind":"query"`)
 //!
-//! A trace stream is JSON Lines: one self-describing JSON object per
-//! query, no enclosing array, so sinks can append and consumers can
-//! stream. Every line carries the schema tag so a single line is
-//! verifiable out of context. Field reference:
+//! A trace stream is JSON Lines under one schema, [`TRACE_SCHEMA`]: one
+//! self-describing JSON object per line, no enclosing array, so sinks
+//! can append and consumers can stream. Every line carries the schema
+//! tag and a `kind` — `span` for the stage records of
+//! [`crate::span`], `query` for the per-query records defined here —
+//! so a single line is verifiable out of context and both kinds
+//! interleave in one file. Query record field reference:
 //!
 //! ```json
-//! {"schema":"tkdc-trace/v1","query":17,"t_lo":1.2e-3,"t_hi":1.2e-3,
-//!  "cause":"threshold_high","lower":2.1e-3,"upper":2.4e-3,
+//! {"schema":"tkdc-trace/v2","kind":"query","query":17,"t_lo":1.2e-3,
+//!  "t_hi":1.2e-3,"cause":"threshold_high","lower":2.1e-3,"upper":2.4e-3,
 //!  "nodes_expanded":12,"kernel_evals":160,"bound_evals":26,
 //!  "steps":[{"nodes":1,"kevals":0,"lower":0.0,"upper":0.31}, ...]}
 //! ```
@@ -39,10 +42,9 @@
 //!   refinement (heap pop), each recording the counters and running
 //!   `[lower, upper]` *after* that refinement.
 
-use std::io::{self, Write};
-
-/// Schema tag carried by every trace line.
-pub const TRACE_SCHEMA: &str = "tkdc-trace/v1";
+/// Schema tag carried by every trace line, span and query records
+/// alike.
+pub const TRACE_SCHEMA: &str = "tkdc-trace/v2";
 
 /// One refinement step of a traversal: the running counters and bounds
 /// after expanding one node.
@@ -118,13 +120,13 @@ pub fn json_string(s: &str) -> String {
 }
 
 impl QueryTrace {
-    /// Renders the trace as one `tkdc-trace/v1` JSON line (no trailing
-    /// newline).
+    /// Renders the trace as one `tkdc-trace/v2` query-record JSON line
+    /// (no trailing newline).
     pub fn to_json_line(&self) -> String {
         let mut s = String::with_capacity(128 + 64 * self.steps.len());
         s.push_str("{\"schema\":\"");
         s.push_str(TRACE_SCHEMA);
-        s.push_str("\",\"query\":");
+        s.push_str("\",\"kind\":\"query\",\"query\":");
         s.push_str(&self.query.to_string());
         s.push_str(",\"t_lo\":");
         s.push_str(&json_f64(self.t_lo));
@@ -159,39 +161,6 @@ impl QueryTrace {
         }
         s.push_str("]}");
         s
-    }
-}
-
-/// A JSONL trace sink over any writer (file, socket, buffer).
-#[derive(Debug)]
-pub struct TraceWriter<W: Write> {
-    inner: W,
-}
-
-impl<W: Write> TraceWriter<W> {
-    /// Wraps a writer. Callers who want buffering should pass a
-    /// `BufWriter`; the sink itself writes one line per trace.
-    pub fn new(inner: W) -> Self {
-        Self { inner }
-    }
-
-    /// Appends one trace as one line.
-    pub fn write_trace(&mut self, trace: &QueryTrace) -> io::Result<()> {
-        self.inner.write_all(trace.to_json_line().as_bytes())?;
-        self.inner.write_all(b"\n")
-    }
-
-    /// Appends every trace in order and flushes.
-    pub fn write_all(&mut self, traces: &[QueryTrace]) -> io::Result<()> {
-        for t in traces {
-            self.write_trace(t)?;
-        }
-        self.inner.flush()
-    }
-
-    /// Unwraps the underlying writer.
-    pub fn into_inner(self) -> W {
-        self.inner
     }
 }
 
@@ -230,7 +199,7 @@ mod tests {
     #[test]
     fn json_line_shape() {
         let line = sample().to_json_line();
-        assert!(line.starts_with("{\"schema\":\"tkdc-trace/v1\",\"query\":3,"));
+        assert!(line.starts_with("{\"schema\":\"tkdc-trace/v2\",\"kind\":\"query\",\"query\":3,"));
         assert!(line.contains("\"cause\":\"threshold_high\""));
         assert!(line.contains("\"steps\":[{\"nodes\":1,"));
         assert!(line.ends_with("}]}"));
@@ -251,16 +220,5 @@ mod tests {
     fn string_escaping() {
         assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn writer_emits_one_line_per_trace() {
-        let mut w = TraceWriter::new(Vec::new());
-        w.write_all(&[sample(), sample()]).unwrap();
-        let buf = String::from_utf8(w.into_inner()).unwrap();
-        assert_eq!(buf.lines().count(), 2);
-        for line in buf.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-        }
     }
 }

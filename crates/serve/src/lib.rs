@@ -15,8 +15,9 @@
 //!   model at startup and answers the versioned, length-prefixed binary
 //!   protocol defined in [`protocol`]: `Ping`, `Classify`, `Density`,
 //!   `Stats`, `Shutdown`. Every `Classify`/`Density` request is a
-//!   micro-batch executed through `Classifier::classify_batch_shared_spanned`
-//!   under a work-stealing [`tkdc::ExecPolicy`].
+//!   micro-batch executed through `Classifier::classify_batch_shared`
+//!   (or `bound_density_batch_shared`) under a [`tkdc::Ctx`]: a
+//!   work-stealing [`tkdc::ExecPolicy`] plus the request's trace handle.
 //! * [`Client`] — a blocking client with one method per request type.
 //! * [`metrics`] — lock-free server metrics (request/error counters and
 //!   a log-scale latency histogram with both since-start and
@@ -25,10 +26,12 @@
 //!   metrics as a Prometheus text exposition (`GET /metrics`), enabled
 //!   via [`ServeConfig::metrics_addr`].
 //!
-//! Observability sinks (all optional, see [`ServeConfig`]): a Chrome
-//! `trace_event` / `tkdc-trace/v2` span trace of every request
-//! (`span_out`), and a `tkdc-slowlog/v1` slow-query log with per-stage
-//! span breakdowns (`slow_log` + `slow_ms`).
+//! Observability sinks (all optional, see [`ServeConfig`]): one trace
+//! stream of every request (`span_out`) — `tkdc-trace/v2` JSONL
+//! appended per request, spans plus sampled query records
+//! (`trace_every`), or Chrome `trace_event` JSON of the spans at drain —
+//! and a `tkdc-slowlog/v1` slow-query log with per-stage span
+//! breakdowns (`slow_log` + `slow_ms`).
 //!
 //! Robustness properties (all covered by `tests/serve_roundtrip.rs`):
 //! per-connection read/write timeouts, a hard connection cap with a

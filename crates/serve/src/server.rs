@@ -22,11 +22,13 @@
 //!   Prometheus text rendering of the transport counters, the engine
 //!   registry, both latency views, and the batch engine's per-worker
 //!   pool telemetry.
-//! * **Span trace** ([`ServeConfig::span_out`]) — every request runs
+//! * **Trace stream** ([`ServeConfig::span_out`]) — every request runs
 //!   under a `serve.request` / `serve.exec` span pair (plus the
-//!   classifier's own classify stage spans) on one shared timeline; at
-//!   drain the collected events are written as Chrome `trace_event`
-//!   JSON (default) or `tkdc-trace/v2` JSONL (`.jsonl` path).
+//!   classifier's own classify stage spans and, with
+//!   [`ServeConfig::trace_every`], sampled query records) on one shared
+//!   timeline. A `.jsonl` sink gets each request's `tkdc-trace/v2`
+//!   records appended as the request finishes; any other path gets
+//!   Chrome `trace_event` JSON of the spans, written at drain.
 //! * **Slow-query log** ([`ServeConfig::slow_log`]) — requests at or
 //!   above [`ServeConfig::slow_ms`] milliseconds append one
 //!   `tkdc-slowlog/v1` JSON line with the request's span breakdown.
@@ -43,9 +45,9 @@
 //!   acceptor, and the accept loop then joins every live handler:
 //!   in-flight requests finish, idle handlers notice the flag within
 //!   one read-timeout tick, and `run()` returns only when all handler
-//!   threads have exited (and any span trace has been flushed).
+//!   threads have exited (and any Chrome span trace has been written).
 
-use std::fs::{self, File};
+use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -54,10 +56,10 @@ use tkdc_sync::atomic::{AtomicBool, Ordering};
 use tkdc_sync::thread::{self, JoinHandle};
 use tkdc_sync::{Arc, Mutex};
 
-use tkdc::{Classifier, ExecPolicy, QueryStats, QueryTrace, Spans, TraceWriter};
+use tkdc::span::check_sink;
+use tkdc::{Classifier, Ctx, ExecPolicy, QueryStats, Spans, TraceRecord};
 use tkdc_common::error::{protocol_error, Error, Result};
-use tkdc_obs::span::SpanRecord;
-use tkdc_obs::{chrome_trace_json, complete_spans, span_v2_lines, Exposition};
+use tkdc_obs::{chrome_trace_json, complete_spans, is_jsonl_path, trace_v2_lines, Exposition};
 
 use crate::http::{MetricsHandle, MetricsServer};
 use crate::metrics::Metrics;
@@ -88,13 +90,12 @@ pub struct ServeConfig {
     /// Per-connection read/write timeout. Also bounds how long an idle
     /// handler takes to notice a shutdown.
     pub timeout: Duration,
-    /// Optional JSONL trace sink (`tkdc-trace/v1`): when set, `Classify`
-    /// and `Density` batches run with per-query tracing and append
-    /// sampled traces here. Trace `query` indices are per-request batch
-    /// positions (each micro-batch restarts at 0).
-    pub trace_out: Option<PathBuf>,
-    /// Trace sampling: record every `trace_every`-th query of each batch
-    /// (`1` = all, `0` = tracing off even with a sink configured).
+    /// Query sampling: `Classify` and `Density` batches record every
+    /// `trace_every`-th query's trace into [`ServeConfig::span_out`]
+    /// (`1` = all; `0`, the default, = none). Query `query` indices are
+    /// per-request batch positions (each micro-batch restarts at 0).
+    /// Needs a `.jsonl` `span_out`: [`Server::bind`] fails otherwise,
+    /// since Chrome JSON has no place for query records.
     pub trace_every: u64,
     /// Optional second listener serving `GET /metrics` in Prometheus
     /// text format (`host:port`; port 0 picks an ephemeral port).
@@ -106,8 +107,12 @@ pub struct ServeConfig {
     /// Optional slow-query log sink: one `tkdc-slowlog/v1` JSON line
     /// (with span breakdown) per request at or over the threshold.
     pub slow_log: Option<PathBuf>,
-    /// Optional span-trace sink written at drain: Chrome `trace_event`
-    /// JSON, or `tkdc-trace/v2` JSONL when the path ends in `.jsonl`.
+    /// Optional trace sink. A `.jsonl` path gets `tkdc-trace/v2` records
+    /// (spans and sampled query records): each request's records are
+    /// written to the file when the request finishes, so the file
+    /// grows with the traffic and memory stays bounded. Any other path
+    /// gets Chrome `trace_event` JSON of the spans, written once at
+    /// drain — those records stay in memory until shutdown.
     pub span_out: Option<PathBuf>,
 }
 
@@ -118,14 +123,28 @@ impl Default for ServeConfig {
             threads: None,
             max_conns: 64,
             timeout: Duration::from_secs(10),
-            trace_out: None,
-            trace_every: 1,
+            trace_every: 0,
             metrics_addr: None,
             slow_ms: None,
             slow_log: None,
             span_out: None,
         }
     }
+}
+
+/// Where finished requests' trace records go (see
+/// [`ServeConfig::span_out`]).
+enum SpanOut {
+    /// `tkdc-trace/v2` JSONL, appended per request with one unbuffered
+    /// write; the mutex keeps each request's lines contiguous across
+    /// concurrent handlers.
+    Jsonl(Mutex<File>),
+    /// Chrome `trace_event` JSON: records buffer until the drain writes
+    /// the one document.
+    Chrome {
+        path: PathBuf,
+        records: Mutex<Vec<TraceRecord>>,
+    },
 }
 
 /// State shared between the accept loop and every connection handler.
@@ -137,20 +156,14 @@ struct Shared {
     addr: SocketAddr,
     max_conns: usize,
     timeout: Duration,
-    /// JSONL trace sink shared by every handler thread; the mutex keeps
-    /// whole trace lines atomic across concurrent batches.
-    trace: Option<Mutex<TraceWriter<BufWriter<File>>>>,
     trace_every: u64,
-    /// Common time base for every request's spans, so the drained trace
-    /// is one coherent timeline across connections.
+    /// Common time base for every request's spans, so the trace is one
+    /// coherent timeline across connections.
     span_base: Instant,
     /// Whether requests run with span recording at all (a span sink or
     /// a slow log is configured).
     collect_spans: bool,
-    span_out: Option<PathBuf>,
-    /// Span events from finished requests, drained into `span_out` when
-    /// the server exits.
-    span_events: Mutex<Vec<SpanRecord>>,
+    span_out: Option<SpanOut>,
     slow_ms: u64,
     slow_log: Option<Mutex<BufWriter<File>>>,
 }
@@ -187,18 +200,27 @@ impl Server {
     /// Binds the listener (and the metrics endpoint, if configured) and
     /// wraps the classifier; call [`Server::run`] or [`Server::spawn`]
     /// to start serving.
+    ///
+    /// # Errors
+    /// Fails on bind or sink-creation I/O errors, and with a named
+    /// `trace_sample` parameter error when query sampling is on without
+    /// a `.jsonl` [`ServeConfig::span_out`].
     pub fn bind(config: ServeConfig, classifier: Classifier) -> Result<Self> {
+        check_sink(config.span_out.as_deref(), config.trace_every)?;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let policy = ExecPolicy::Parallel {
             threads: config.threads,
         };
-        let trace = match (&config.trace_out, config.trace_every) {
-            (Some(path), every) if every > 0 => {
-                let file = File::create(path)?;
-                Some(Mutex::new(TraceWriter::new(BufWriter::new(file))))
+        let span_out = match config.span_out {
+            Some(path) if is_jsonl_path(&path) => {
+                Some(SpanOut::Jsonl(Mutex::new(File::create(path)?)))
             }
-            _ => None,
+            Some(path) => Some(SpanOut::Chrome {
+                path,
+                records: Mutex::new(Vec::new()),
+            }),
+            None => None,
         };
         let slow_log = match &config.slow_log {
             Some(path) => Some(Mutex::new(BufWriter::new(File::create(path)?))),
@@ -208,7 +230,7 @@ impl Server {
             Some(addr) => Some(MetricsServer::bind(addr)?),
             None => None,
         };
-        let collect_spans = config.span_out.is_some() || slow_log.is_some();
+        let collect_spans = span_out.is_some() || slow_log.is_some();
         let shared = Arc::new(Shared {
             classifier,
             policy,
@@ -217,12 +239,10 @@ impl Server {
             addr,
             max_conns: config.max_conns.max(1),
             timeout: config.timeout,
-            trace,
             trace_every: config.trace_every,
             span_base: Instant::now(),
             collect_spans,
-            span_out: config.span_out.clone(),
-            span_events: Mutex::new(Vec::new()),
+            span_out,
             slow_ms: config.slow_ms.unwrap_or(DEFAULT_SLOW_MS),
             slow_log,
         });
@@ -245,7 +265,8 @@ impl Server {
 
     /// Runs the accept loop on the calling thread until a `Shutdown`
     /// request drains the server. Returns after every connection
-    /// handler has been joined and any span trace has been written.
+    /// handler has been joined and any Chrome span trace has been
+    /// written.
     pub fn run(self) -> Result<()> {
         let Server {
             listener,
@@ -303,27 +324,17 @@ impl Server {
     }
 }
 
-/// Writes the collected span events to the configured sink: `.jsonl`
-/// paths get `tkdc-trace/v2` JSONL, everything else Chrome
-/// `trace_event` JSON.
+/// Writes the buffered span records of a Chrome sink at drain (a
+/// `.jsonl` sink is already on disk, request by request).
 fn write_span_trace(shared: &Shared) -> Result<()> {
-    let Some(path) = &shared.span_out else {
+    let Some(SpanOut::Chrome { path, records }) = &shared.span_out else {
         return Ok(());
     };
-    let events = match shared.span_events.lock() {
+    let records = match records.lock() {
         Ok(mut v) => std::mem::take(&mut *v),
         Err(_) => Vec::new(),
     };
-    let text = if path.extension().is_some_and(|e| e == "jsonl") {
-        let mut t = span_v2_lines(&events);
-        if !t.is_empty() {
-            t.push('\n');
-        }
-        t
-    } else {
-        chrome_trace_json(&events)
-    };
-    fs::write(path, text)?;
+    std::fs::write(path, chrome_trace_json(&records))?;
     Ok(())
 }
 
@@ -520,7 +531,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             _ => 0,
         };
         let spans = if shared.collect_spans {
-            Spans::enabled_with_base(shared.span_base)
+            Spans::enabled_with_base(shared.span_base).sampling(shared.trace_every)
         } else {
             Spans::off()
         };
@@ -545,8 +556,8 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Drains one answered request's spans into the slow-query log (if it
-/// crossed the threshold) and the server-wide span collector.
+/// Drains one answered request's records into the slow-query log (if
+/// it crossed the threshold) and the trace sink.
 fn finish_observability(
     shared: &Shared,
     spans: &Spans,
@@ -564,12 +575,22 @@ fn finish_observability(
             write_slow_entry(log, op, points, elapsed, &records);
         }
     }
-    if shared.span_out.is_some() {
-        // INVARIANT: the collector mutex is only held for the extend; a
-        // poisoned lock just drops this request's spans.
-        if let Ok(mut events) = shared.span_events.lock() {
-            events.extend(records);
+    // Tracing is best-effort diagnostics: a full disk must not fail
+    // the request being traced, so write errors are swallowed, and a
+    // poisoned lock (held only for the write or the extend) just drops
+    // this request's records.
+    match &shared.span_out {
+        Some(SpanOut::Jsonl(sink)) => {
+            if let Ok(mut file) = sink.lock() {
+                let _ = file.write_all(trace_v2_lines(&records).as_bytes());
+            }
         }
+        Some(SpanOut::Chrome { records: buf, .. }) => {
+            if let Ok(mut buf) = buf.lock() {
+                buf.extend(records);
+            }
+        }
+        None => {}
     }
 }
 
@@ -583,7 +604,7 @@ fn write_slow_entry(
     op: &'static str,
     points: u64,
     elapsed: Duration,
-    records: &[SpanRecord],
+    records: &[TraceRecord],
 ) {
     let breakdown = complete_spans(records)
         .iter()
@@ -616,21 +637,9 @@ fn respond(shared: &Shared, req: Request, spans: &Spans) -> (Response, bool) {
             let exec_span = spans.enter("serve.exec");
             // The request's owned points ride into the pool job as an
             // Arc — no per-request copy of the batch.
-            let points = Arc::new(points);
-            let result = match &shared.trace {
-                Some(sink) => shared
-                    .classifier
-                    .classify_batch_traced_spanned(points, shared.policy, shared.trace_every, spans)
-                    .map(|(labels, stats, traces)| {
-                        write_traces(sink, &traces);
-                        (labels, stats)
-                    }),
-                None => {
-                    shared
-                        .classifier
-                        .classify_batch_shared_spanned(points, shared.policy, spans)
-                }
-            };
+            let result = shared
+                .classifier
+                .classify_batch_shared(Arc::new(points), request_ctx(shared, spans));
             drop(exec_span);
             match result {
                 Ok((labels, stats)) => {
@@ -651,21 +660,9 @@ fn respond(shared: &Shared, req: Request, spans: &Spans) -> (Response, bool) {
         Request::Density { points } => {
             shared.metrics.densities.inc();
             let exec_span = spans.enter("serve.exec");
-            let points = Arc::new(points);
-            let result = match &shared.trace {
-                Some(sink) => shared
-                    .classifier
-                    .bound_density_batch_traced(points, shared.policy, shared.trace_every)
-                    .map(|(bounds, stats, traces)| {
-                        write_traces(sink, &traces);
-                        (bounds, stats)
-                    }),
-                None => shared.classifier.bound_density_batch_shared_spanned(
-                    points,
-                    shared.policy,
-                    spans,
-                ),
-            };
+            let result = shared
+                .classifier
+                .bound_density_batch_shared(Arc::new(points), request_ctx(shared, spans));
             drop(exec_span);
             match result {
                 Ok((bounds, stats)) => {
@@ -703,17 +700,12 @@ fn record_batch(shared: &Shared, stats: &QueryStats) {
     shared.metrics.record_query_stats(stats);
 }
 
-/// Appends a batch's traces to the shared sink. Tracing is best-effort
-/// diagnostics: a full disk or revoked file must not fail the query
-/// that was being traced, so write errors are swallowed here.
-fn write_traces(sink: &Mutex<TraceWriter<BufWriter<File>>>, traces: &[QueryTrace]) {
-    if traces.is_empty() {
-        return;
-    }
-    // INVARIANT: trace-writer mutex is only held for the write; a
-    // poisoned lock just drops this batch's traces.
-    if let Ok(mut w) = sink.lock() {
-        let _ = w.write_all(traces);
+/// The engine call context of one request: the server's policy, and
+/// the request's recording handle.
+fn request_ctx(shared: &Shared, spans: &Spans) -> Ctx {
+    Ctx {
+        policy: shared.policy,
+        obs: spans.clone(),
     }
 }
 
@@ -727,4 +719,76 @@ fn initiate_shutdown(shared: &Shared) {
     // tests/model_check.rs.
     shared.shutdown.store(true, Ordering::Release);
     let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_secs(1));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+    use tkdc::Params;
+    use tkdc_common::{Matrix, Rng};
+
+    fn blob(seed: u64, rows: usize) -> Matrix {
+        let mut rng = Rng::seed_from(seed);
+        let mut m = Matrix::with_cols(2);
+        for _ in 0..rows {
+            m.push_row(&[rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)])
+                .unwrap();
+        }
+        m
+    }
+
+    #[test]
+    fn query_sampling_needs_a_jsonl_sink() {
+        let clf = || Classifier::fit(&blob(3, 300), &Params::default()).unwrap();
+        for span_out in [None, Some(PathBuf::from("spans.json"))] {
+            let config = ServeConfig {
+                span_out,
+                trace_every: 1,
+                ..ServeConfig::default()
+            };
+            let err = Server::bind(config, clf()).err().expect("bind must fail");
+            assert!(err.to_string().contains("trace_sample"), "{err}");
+        }
+    }
+
+    /// A `.jsonl` sink holds each finished request's spans and sampled
+    /// query records before the daemon shuts down: the file grows with
+    /// the traffic instead of buffering every request until drain.
+    #[test]
+    fn jsonl_sink_is_written_per_request_before_shutdown() {
+        let path =
+            std::env::temp_dir().join(format!("tkdc_serve_stream_{}.jsonl", std::process::id()));
+        let config = ServeConfig {
+            span_out: Some(path.clone()),
+            trace_every: 2,
+            ..ServeConfig::default()
+        };
+        let clf = Classifier::fit(&blob(5, 500), &Params::default()).unwrap();
+        let server = Server::bind(config, clf).unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let handle = server.spawn();
+        let mut client = Client::connect_with_timeout(&addr, Duration::from_secs(10)).unwrap();
+        let queries = blob(6, 9);
+        client.classify(&queries).unwrap();
+        client.density(&queries).unwrap();
+
+        // Records are appended before the response is written, so both
+        // requests are on disk now, with the daemon still up.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let count = |needle: &str| text.lines().filter(|l| l.contains(needle)).count();
+        // Queries 0, 2, 4, 6, 8 of each 9-point batch.
+        assert_eq!(count("\"kind\":\"query\""), 10, "{text}");
+        // Enter + exit per request, and the density batch's own
+        // classify stages are recorded too.
+        assert_eq!(count("\"name\":\"serve.request\""), 4, "{text}");
+        assert_eq!(count("\"name\":\"classify.traversal\""), 4, "{text}");
+        assert!(text
+            .lines()
+            .all(|l| l.starts_with("{\"schema\":\"tkdc-trace/v2\",")));
+
+        client.shutdown().unwrap();
+        handle.join().unwrap();
+        std::fs::remove_file(&path).ok();
+    }
 }

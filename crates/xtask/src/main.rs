@@ -24,10 +24,9 @@
 //! own `target/model-check` directory so it never invalidates the
 //! normal build cache.
 //!
-//! `check-trace` validates `tkdc-trace/v1` and `tkdc-trace/v2` JSONL
-//! files (as written by `tkdc explain` / `--trace-out` and
-//! `--span-out FILE.jsonl` respectively) against the trace schemas —
-//! see [`trace_check`].
+//! `check-trace` validates `tkdc-trace/v2` JSONL files (as written by
+//! `--span-out FILE.jsonl`: span and sampled query records in one
+//! stream) against the trace schema — see [`trace_check`].
 //!
 //! `--report FILE` (lint, model-check) additionally writes the full
 //! diagnostics to `FILE` for CI artifact upload.
@@ -72,7 +71,8 @@ SUBCOMMANDS:
                         run tests/model_check.rs under the vendored
                         loom-style model checker (--cfg tkdc_model_check,
                         separate target/model-check build dir)
-    check-trace FILE... validate tkdc-trace/v1 + /v2 JSONL trace files
+    check-trace FILE... validate tkdc-trace/v2 JSONL trace files
+                        (span + query records; v1 lines are rejected)
 
     --report FILE       also write the diagnostics/output to FILE
                         (CI artifact)

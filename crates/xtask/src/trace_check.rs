@@ -1,19 +1,19 @@
-//! `check-trace` — structural validator for `tkdc-trace/v1` and
-//! `tkdc-trace/v2` JSONL.
+//! `check-trace` — structural validator for `tkdc-trace/v2` JSONL.
 //!
-//! CI runs this over trace files produced by `tkdc explain`,
-//! `tkdc classify --trace-out` (per-query `v1` records), and
-//! `--span-out FILE.jsonl` (stage-span `v2` records) so a schema drift
-//! (renamed key, wrong type, new prune cause or stage nobody
-//! documented) fails the build instead of silently breaking downstream
-//! trace consumers. `v2` span records additionally get file-level
-//! checks: balanced enter/exit phases and non-decreasing timestamps
-//! per track. A file may mix both record kinds (a serve daemon writes
-//! `v1` query traces and `v2` spans to separate sinks, but the
-//! validator does not care). The workspace vendors no JSON crate, so
-//! this carries its own minimal recursive-descent parser — strict
-//! enough for validation (it rejects trailing garbage, unterminated
-//! strings, and malformed numbers), with no serialization half.
+//! CI runs this over the trace streams `--span-out FILE.jsonl` writes
+//! (from `tkdc train`/`classify`/`explain` and the serve daemon) so a
+//! schema drift (renamed key, wrong type, new prune cause or stage
+//! nobody documented) fails the build instead of silently breaking
+//! downstream trace consumers. Every line is keyed on its `kind`:
+//! `span` records (stage enter/exit) and `query` records (one sampled
+//! query's bound refinement) interleave in one file, and any other
+//! kind is an error. Span records additionally get file-level checks:
+//! balanced enter/exit phases and non-decreasing timestamps per track.
+//! The retired `tkdc-trace/v1` query lines fail with a named error. The
+//! workspace vendors no JSON crate, so this carries its own minimal
+//! recursive-descent parser — strict enough for validation (it rejects
+//! trailing garbage, unterminated strings, and malformed numbers), with
+//! no serialization half.
 
 use std::fmt::Write as _;
 
@@ -258,7 +258,7 @@ const SPAN_STAGES: &[&str] = &[
     "serve.request",
 ];
 
-/// Prune causes a `tkdc-trace/v1` line may carry.
+/// Prune causes a query record may carry.
 const CAUSES: &[&str] = &[
     "threshold_high",
     "threshold_low",
@@ -291,18 +291,9 @@ fn check_bound(obj: &Json, key: &str, errs: &mut Vec<String>) {
     }
 }
 
-/// Validates one `tkdc-trace/v2` span record (the `schema` key has
-/// already been checked).
-fn validate_span_line(value: &Json, errs: &mut Vec<String>) {
-    match value.get("kind") {
-        Some(Json::Str(k)) if k == "span" => {}
-        Some(Json::Str(k)) => errs.push(format!("unknown kind `{k}`")),
-        Some(other) => errs.push(format!(
-            "`kind` must be a string, got {}",
-            other.type_name()
-        )),
-        None => errs.push("missing key `kind`".to_string()),
-    }
+/// Validates the fields of a span record (schema and kind already
+/// checked).
+fn validate_span_fields(value: &Json, errs: &mut Vec<String>) {
     match value.get("ph") {
         Some(Json::Str(p)) if p == "B" || p == "E" => {}
         Some(Json::Str(p)) => errs.push(format!("`ph` must be `B` or `E`, got `{p}`")),
@@ -329,11 +320,12 @@ struct SpanEvent {
     is_enter: bool,
 }
 
-/// Extracts the file-level fields from an already-validated `v2` line.
+/// Extracts the file-level fields from an already-validated span line
+/// (`None` for query records).
 fn span_event(line: &str) -> Option<SpanEvent> {
     let value = parse_json(line).ok()?;
-    match value.get("schema") {
-        Some(Json::Str(s)) if s == "tkdc-trace/v2" => {}
+    match value.get("kind") {
+        Some(Json::Str(k)) if k == "span" => {}
         _ => return None,
     }
     let uint = |key: &str| match value.get(key) {
@@ -348,26 +340,28 @@ fn span_event(line: &str) -> Option<SpanEvent> {
     })
 }
 
-/// Validates one trace line against the `tkdc-trace/v1` (per-query) or
-/// `tkdc-trace/v2` (span) shape, keyed on the `schema` field. Returns
-/// every problem found, empty when the line is valid.
+/// Validates one `tkdc-trace/v2` line, keyed on its `kind` (`span` or
+/// `query`). Returns every problem found, empty when the line is valid.
 pub fn validate_trace_line(line: &str) -> Vec<String> {
     let value = match parse_json(line) {
         Ok(v) => v,
         Err(e) => return vec![format!("not valid JSON: {e}")],
     };
-    let mut errs = Vec::new();
     if !matches!(value, Json::Obj(_)) {
         return vec![format!(
             "line must be a JSON object, got {}",
             value.type_name()
         )];
     }
+    let mut errs = Vec::new();
     match value.get("schema") {
-        Some(Json::Str(s)) if s == "tkdc-trace/v1" => {}
-        Some(Json::Str(s)) if s == "tkdc-trace/v2" => {
-            validate_span_line(&value, &mut errs);
-            return errs;
+        Some(Json::Str(s)) if s == "tkdc-trace/v2" => {}
+        Some(Json::Str(s)) if s == "tkdc-trace/v1" => {
+            return vec![
+                "`tkdc-trace/v1` is retired: query records are `tkdc-trace/v2` lines \
+                 with `\"kind\":\"query\"`"
+                    .to_string(),
+            ];
         }
         Some(Json::Str(s)) => errs.push(format!("unknown schema `{s}`")),
         Some(other) => errs.push(format!(
@@ -376,9 +370,25 @@ pub fn validate_trace_line(line: &str) -> Vec<String> {
         )),
         None => errs.push("missing key `schema`".to_string()),
     }
-    check_uint(&value, "query", &mut errs);
+    match value.get("kind") {
+        Some(Json::Str(k)) if k == "span" => validate_span_fields(&value, &mut errs),
+        Some(Json::Str(k)) if k == "query" => validate_query_fields(&value, &mut errs),
+        Some(Json::Str(k)) => errs.push(format!("unknown kind `{k}` (expected `span` or `query`)")),
+        Some(other) => errs.push(format!(
+            "`kind` must be a string, got {}",
+            other.type_name()
+        )),
+        None => errs.push("missing key `kind`".to_string()),
+    }
+    errs
+}
+
+/// Validates the fields of a query record (schema and kind already
+/// checked).
+fn validate_query_fields(value: &Json, errs: &mut Vec<String>) {
+    check_uint(value, "query", errs);
     for key in ["t_lo", "t_hi", "lower", "upper"] {
-        check_bound(&value, key, &mut errs);
+        check_bound(value, key, errs);
     }
     match value.get("cause") {
         Some(Json::Str(c)) if CAUSES.contains(&c.as_str()) => {}
@@ -390,7 +400,7 @@ pub fn validate_trace_line(line: &str) -> Vec<String> {
         None => errs.push("missing key `cause`".to_string()),
     }
     for key in ["nodes_expanded", "kernel_evals", "bound_evals"] {
-        check_uint(&value, key, &mut errs);
+        check_uint(value, key, errs);
     }
     match value.get("steps") {
         Some(Json::Arr(steps)) => {
@@ -413,7 +423,6 @@ pub fn validate_trace_line(line: &str) -> Vec<String> {
         )),
         None => errs.push("missing key `steps`".to_string()),
     }
-    errs
 }
 
 /// Validates a whole JSONL file's content. Returns `(lines, report)`:
@@ -422,7 +431,7 @@ pub fn validate_trace_line(line: &str) -> Vec<String> {
 pub fn check_trace_text(path: &str, text: &str) -> (usize, Vec<String>) {
     let mut checked = 0usize;
     let mut report = Vec::new();
-    // Per-track running state for v2 span records: open-span depth and
+    // Per-track running state for span records: open-span depth and
     // the last timestamp seen. Tracks are few; linear scan suffices.
     let mut tracks: Vec<(u64, i64, u64)> = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -483,7 +492,8 @@ pub fn check_trace_text(path: &str, text: &str) -> (usize, Vec<String>) {
 mod tests {
     use super::*;
 
-    const GOOD: &str = "{\"schema\":\"tkdc-trace/v1\",\"query\":3,\"t_lo\":1.5e-3,\
+    const GOOD: &str =
+        "{\"schema\":\"tkdc-trace/v2\",\"kind\":\"query\",\"query\":3,\"t_lo\":1.5e-3,\
                         \"t_hi\":1.5e-3,\"cause\":\"threshold_high\",\"lower\":2e-3,\
                         \"upper\":2.5e-3,\"nodes_expanded\":2,\"kernel_evals\":16,\
                         \"bound_evals\":6,\"steps\":[{\"nodes\":1,\"kevals\":0,\
@@ -522,7 +532,7 @@ mod tests {
 
     #[test]
     fn invalid_lines_are_reported() {
-        let wrong_schema = GOOD.replace("tkdc-trace/v1", "tkdc-trace/v9");
+        let wrong_schema = GOOD.replace("tkdc-trace/v2", "tkdc-trace/v9");
         assert!(validate_trace_line(&wrong_schema)
             .iter()
             .any(|e| e.contains("unknown schema")));
@@ -542,9 +552,35 @@ mod tests {
     }
 
     #[test]
+    fn retired_v1_lines_fail_with_a_named_error() {
+        let v1 = GOOD.replace("\"tkdc-trace/v2\",\"kind\":\"query\"", "\"tkdc-trace/v1\"");
+        let errs = validate_trace_line(&v1);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].contains("`tkdc-trace/v1` is retired"), "{errs:?}");
+    }
+
+    #[test]
+    fn unknown_or_missing_kind_is_rejected() {
+        // A query-shaped line under a kind nobody emits.
+        let metric = GOOD.replace("\"kind\":\"query\"", "\"kind\":\"metric\"");
+        assert!(validate_trace_line(&metric)
+            .iter()
+            .any(|e| e.contains("unknown kind `metric`")));
+        let untagged = GOOD.replace("\"kind\":\"query\",", "");
+        assert!(validate_trace_line(&untagged)
+            .iter()
+            .any(|e| e.contains("missing key `kind`")));
+        // Kinds do not borrow each other's fields.
+        let as_span = GOOD.replace("\"kind\":\"query\"", "\"kind\":\"span\"");
+        assert!(validate_trace_line(&as_span)
+            .iter()
+            .any(|e| e.contains("missing key `ph`")));
+    }
+
+    #[test]
     fn removed_group_cause_is_rejected() {
         // `group` named the deleted dual-tree driver's wholesale labels;
-        // no producer emits it, so a v1 line carrying it is invalid.
+        // no producer emits it, so a query record carrying it is invalid.
         let group = GOOD.replace("threshold_high", "group");
         assert!(validate_trace_line(&group)
             .iter()
@@ -637,7 +673,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_v1_and_v2_files_are_valid() {
+    fn interleaved_span_and_query_records_are_valid() {
         let text = format!(
             "{GOOD}\n{}\n{}\n",
             span("B", "classify.dispatch", 3, 1),
@@ -670,19 +706,19 @@ mod tests {
         }
     }
 
-    /// `trace_v1_allow.jsonl.golden` holds one valid query trace per
+    /// `trace_query_allow.jsonl.golden` holds one valid query record per
     /// prune cause, so a cause the engine can emit but the validator
     /// rejects (or a fixture line for a cause it no longer knows) fails
-    /// here before it fails on real `--trace-out` output.
+    /// here before it fails on real `--trace-sample` output.
     #[test]
     fn query_trace_golden_fixture_allows_every_cause() {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("tests/golden/trace_v1_allow.jsonl.golden");
+            .join("tests/golden/trace_query_allow.jsonl.golden");
         // INVARIANT: a missing fixture is exactly what this self-test
         // exists to catch; panic with the path.
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing golden fixture {}: {e}", path.display()));
-        let (n, report) = check_trace_text("trace_v1_allow", &text);
+        let (n, report) = check_trace_text("trace_query_allow", &text);
         assert!(report.is_empty(), "fixture must be clean, got {report:?}");
         assert_eq!(n, CAUSES.len(), "one line per cause");
         for cause in CAUSES {

@@ -132,7 +132,10 @@ proptest! {
         prop_assert!(unwound.is_err());
         let records = sink.take();
         prop_assert_eq!(records.len(), 2 * depth);
-        let enters = records.iter().filter(|r| r.ph == SpanPhase::Enter).count();
+        let enters = records
+            .iter()
+            .filter(|r| r.as_span().is_some_and(|s| s.ph == SpanPhase::Enter))
+            .count();
         prop_assert_eq!(enters, depth);
         let complete = complete_spans(&records);
         prop_assert_eq!(complete.len(), depth, "every enter pairs with its unwind exit");

@@ -1,5 +1,5 @@
-//! Golden tests for the observability layer (`tkdc-obs` + the `obs`
-//! feature of `tkdc`):
+//! Golden tests for the observability layer (`tkdc-obs` + the `Ctx` /
+//! `Spans` trace handle of `tkdc`):
 //!
 //! * traces are identical at every thread count and every schedule
 //!   (sampling is by query index, never by a shared counter),
@@ -9,13 +9,20 @@
 //!   `bound_density_with` returns for the same query,
 //! * tracing (on, sampled, or off) never changes labels, bounds, or
 //!   statistics relative to the untraced entry points,
-//! * the JSONL serialization carries the `tkdc-trace/v1` schema tag on
-//!   every line.
+//! * a density batch records its `classify.*` spans and its sampled
+//!   query records into the same stream,
+//! * the JSONL serialization carries the `tkdc-trace/v2` schema tag and
+//!   a record kind on every line.
 
 use tkdc_sync::{Arc, OnceLock};
 
-use tkdc::{Classifier, ExecPolicy, Params, QueryScratch, Spans, TraceWriter, TRACE_SCHEMA};
-use tkdc_common::{Matrix, Rng};
+use tkdc::bound::DensityBounds;
+use tkdc::{
+    Classifier, Ctx, ExecPolicy, Label, Params, QueryScratch, QueryStats, QueryTrace, Spans,
+    TraceRecord, TRACE_SCHEMA,
+};
+use tkdc_common::{Matrix, Result, Rng};
+use tkdc_obs::trace_v2_lines;
 
 /// One fitted classifier + a query mix (dense core, ε-band shell, far
 /// tail) shared by every test in this file. Fixed seed: the goldens
@@ -43,14 +50,48 @@ fn fixture() -> &'static (Classifier, Arc<Matrix>) {
     })
 }
 
-/// Traced classification of the shared queries, stage spans off.
+/// A recording context sampling every `every`-th query.
+fn traced(policy: ExecPolicy, every: u64) -> Ctx {
+    Ctx {
+        policy,
+        obs: Spans::enabled().sampling(every),
+    }
+}
+
+/// The query records of a drained stream, in stream order.
+fn queries_of(records: Vec<TraceRecord>) -> Vec<QueryTrace> {
+    records
+        .iter()
+        .filter_map(TraceRecord::as_query)
+        .cloned()
+        .collect()
+}
+
+/// Traced classification of the shared queries.
 fn classify_traced(
     clf: &Classifier,
     queries: &Arc<Matrix>,
     policy: ExecPolicy,
     every: u64,
-) -> tkdc_common::Result<(Vec<tkdc::Label>, tkdc::QueryStats, Vec<tkdc::QueryTrace>)> {
-    clf.classify_batch_traced_spanned(Arc::clone(queries), policy, every, &Spans::off())
+) -> Result<(Vec<Label>, QueryStats, Vec<QueryTrace>)> {
+    let ctx = traced(policy, every);
+    let obs = ctx.obs.clone();
+    let (labels, stats) = clf.classify_batch_shared(Arc::clone(queries), ctx)?;
+    Ok((labels, stats, queries_of(obs.take())))
+}
+
+/// Traced density bounds of the shared queries, with the whole drained
+/// stream (spans and query records).
+fn bound_density_traced(
+    clf: &Classifier,
+    queries: &Arc<Matrix>,
+    policy: ExecPolicy,
+    every: u64,
+) -> Result<(Vec<DensityBounds>, QueryStats, Vec<TraceRecord>)> {
+    let ctx = traced(policy, every);
+    let obs = ctx.obs.clone();
+    let (bounds, stats) = clf.bound_density_batch_shared(Arc::clone(queries), ctx)?;
+    Ok((bounds, stats, obs.take()))
 }
 
 #[test]
@@ -130,7 +171,7 @@ fn coreset_traces_record_straddle_stops() {
         assert_eq!(count("exhausted"), stats.exhausted);
         for (t, label) in traces.iter().zip(&labels) {
             if t.cause == "straddle" {
-                assert_eq!(*label, tkdc::Label::Unknown, "query {}", t.query);
+                assert_eq!(*label, Label::Unknown, "query {}", t.query);
             }
         }
         let lines: Vec<String> = traces.iter().map(|t| t.to_json_line()).collect();
@@ -158,7 +199,7 @@ fn tracing_off_or_sampled_changes_no_results() {
     let (clf, queries) = fixture();
     let policy = ExecPolicy::with_threads(2);
     let (ref_labels, ref_stats) = clf.classify_batch_with(queries, policy).unwrap();
-    // every = 0: tracer armed but inert.
+    // every = 0: spans record, query sampling off.
     let (labels, stats, traces) = classify_traced(clf, queries, policy, 0).unwrap();
     assert_eq!(labels, ref_labels);
     assert_eq!(stats, ref_stats);
@@ -167,25 +208,63 @@ fn tracing_off_or_sampled_changes_no_results() {
     let (labels, stats, _) = classify_traced(clf, queries, policy, 13).unwrap();
     assert_eq!(labels, ref_labels);
     assert_eq!(stats, ref_stats);
+    // An inert handle asked to sample records nothing at all.
+    let off = Ctx {
+        policy,
+        obs: Spans::off().sampling(1),
+    };
+    let (labels, stats) = clf
+        .classify_batch_shared(Arc::clone(queries), off.clone())
+        .unwrap();
+    assert_eq!(labels, ref_labels);
+    assert_eq!(stats, ref_stats);
+    assert!(off.obs.take().is_empty());
 
     let (ref_bounds, ref_bstats) = clf.bound_density_batch_with(queries, policy).unwrap();
-    let (bounds, bstats, _) = clf
-        .bound_density_batch_traced(Arc::clone(queries), policy, 13)
-        .unwrap();
-    assert_eq!(bstats, ref_bstats);
-    for (a, b) in bounds.iter().zip(&ref_bounds) {
-        assert_eq!(a.lower.to_bits(), b.lower.to_bits());
-        assert_eq!(a.upper.to_bits(), b.upper.to_bits());
-        assert_eq!(a.cause, b.cause);
+    for every in [0, 13] {
+        let (bounds, bstats, _) = bound_density_traced(clf, queries, policy, every).unwrap();
+        assert_eq!(bstats, ref_bstats);
+        for (a, b) in bounds.iter().zip(&ref_bounds) {
+            assert_eq!(a.lower.to_bits(), b.lower.to_bits());
+            assert_eq!(a.upper.to_bits(), b.upper.to_bits());
+            assert_eq!(a.cause, b.cause);
+        }
+    }
+}
+
+/// A density batch under a recording, sampling handle writes its stage
+/// spans and one query record per sampled index into the one stream,
+/// at any thread count.
+#[test]
+fn density_batch_records_spans_and_sampled_queries() {
+    let (clf, queries) = fixture();
+    for policy in [ExecPolicy::Serial, ExecPolicy::with_threads(4)] {
+        let (_, _, records) = bound_density_traced(clf, queries, policy, 5).unwrap();
+        let spans: Vec<&str> = records
+            .iter()
+            .filter_map(|r| r.as_span().map(|s| s.name))
+            .collect();
+        for stage in [
+            "classify.dispatch",
+            "classify.traversal",
+            "classify.reassembly",
+        ] {
+            // One enter and one exit.
+            let n = spans.iter().filter(|&&name| name == stage).count();
+            assert_eq!(n, 2, "{policy:?}: {stage}");
+        }
+        let indices: Vec<u64> = queries_of(records).iter().map(|t| t.query).collect();
+        let expected: Vec<u64> = (0..queries.rows() as u64).filter(|i| i % 5 == 0).collect();
+        assert_eq!(indices, expected, "{policy:?}");
     }
 }
 
 #[test]
 fn trace_final_bounds_match_bound_density_bitwise() {
     let (clf, queries) = fixture();
-    let (bounds, _, traces) = clf
-        .bound_density_batch_traced(Arc::clone(queries), ExecPolicy::with_threads(4), 1)
-        .unwrap();
+    let (bounds, _, records) =
+        bound_density_traced(clf, queries, ExecPolicy::with_threads(4), 1).unwrap();
+    let traces = queries_of(records);
     assert_eq!(traces.len(), bounds.len());
     let mut scratch = QueryScratch::new();
     for (i, trace) in traces.iter().enumerate() {
@@ -211,21 +290,29 @@ fn trace_final_bounds_match_bound_density_bitwise() {
 #[test]
 fn jsonl_stream_is_schema_tagged_and_line_per_query() {
     let (clf, queries) = fixture();
-    let (_, _, traces) = classify_traced(clf, queries, ExecPolicy::Serial, 1).unwrap();
-    let mut writer = TraceWriter::new(Vec::new());
-    writer.write_all(&traces).unwrap();
-    let text = String::from_utf8(writer.into_inner()).unwrap();
-    assert_eq!(text.lines().count(), queries.rows());
+    let ctx = traced(ExecPolicy::Serial, 1);
+    let obs = ctx.obs.clone();
+    clf.classify_batch_shared(Arc::clone(queries), ctx).unwrap();
+    let text = trace_v2_lines(&obs.take());
+    let (mut spans, mut query_lines) = (0, 0);
     for line in text.lines() {
-        assert!(
-            line.starts_with("{\"schema\":\"tkdc-trace/v1\""),
-            "untagged line: {line}"
-        );
+        if line.starts_with("{\"schema\":\"tkdc-trace/v2\",\"kind\":\"query\",") {
+            query_lines += 1;
+        } else {
+            assert!(
+                line.starts_with("{\"schema\":\"tkdc-trace/v2\",\"kind\":\"span\","),
+                "untagged line: {line}"
+            );
+            spans += 1;
+        }
         assert!(line.ends_with('}'));
         assert!(
             !line.contains("NaN") && !line.contains("inf"),
             "bad float token: {line}"
         );
     }
-    assert_eq!(TRACE_SCHEMA, "tkdc-trace/v1");
+    // One line per query, plus the batch's stage spans.
+    assert_eq!(query_lines, queries.rows());
+    assert!(spans >= 6, "{text}");
+    assert_eq!(TRACE_SCHEMA, "tkdc-trace/v2");
 }
