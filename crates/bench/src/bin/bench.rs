@@ -152,8 +152,8 @@ fn skewed_queries(threshold: f64, total: usize, seed: u64) -> (Matrix, usize) {
 /// Times a full leaf sweep (every leaf of the fitted tree, `nq` query
 /// points) through the row-major and SoA leaf kernels.
 fn leaf_sum_ablation(clf: &Classifier, query_set: &Matrix, repeats: usize) -> LeafSumAblation {
-    // INVARIANT: the ablation only runs on tree-backend fits (bench builds them).
-    let tree = clf.tree().expect("leaf ablation requires the tree backend");
+    // INVARIANT: `Classifier::tree` is always `Some`; every model is a tree model.
+    let tree = clf.tree().expect("every model holds a k-d tree");
     let kernel = clf.kernel();
     let d = query_set.cols();
     let leaves: Vec<u32> = (0..tree.node_count() as u32) // CAST: node count fits u32 by construction

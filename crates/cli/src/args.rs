@@ -2,7 +2,7 @@
 //! flags, with typed accessors and unknown-flag detection.
 
 use std::collections::HashMap;
-use tkdc::{BackendSpec, HbeParams, Params};
+use tkdc::Params;
 use tkdc_common::error::{invalid_param, Error, Result};
 use tkdc_coreset::CompactorKind;
 use tkdc_kernel::KernelKind;
@@ -33,11 +33,6 @@ pub const COMMON_FLAGS: &[&str] = &[
     "coreset-eps",
     "compactor",
     "weighted",
-    "backend",
-    "hbe-tables",
-    "hbe-hashes",
-    "hbe-bucket-width",
-    "hbe-samples",
     "span-out",
 ];
 
@@ -233,54 +228,8 @@ impl Flags {
                 }
             };
         }
-        params.backend = self.backend()?;
         params.validate()?;
         Ok(params)
-    }
-
-    /// Estimator backend from `--backend tree|hbe` plus the HBE tuning
-    /// flags (`--hbe-*`). HBE flags without `--backend hbe` are rejected
-    /// so a typo'd combination fails loudly instead of silently using
-    /// defaults.
-    fn backend(&self) -> Result<BackendSpec> {
-        let name = self.get("backend").unwrap_or("tree");
-        const HBE_FLAGS: &[&str] = &[
-            "hbe-tables",
-            "hbe-hashes",
-            "hbe-bucket-width",
-            "hbe-samples",
-        ];
-        match name {
-            "tree" => {
-                if let Some(f) = HBE_FLAGS.iter().find(|f| self.get(f).is_some()) {
-                    return Err(invalid_param(
-                        "backend",
-                        format!("`--{f}` requires `--backend hbe`"),
-                    ));
-                }
-                Ok(BackendSpec::Tree)
-            }
-            "hbe" => {
-                let mut hp = HbeParams::default();
-                if let Some(t) = self.get_u64("hbe-tables")? {
-                    hp.tables = t as usize; // CAST: table counts are tiny
-                }
-                if let Some(k) = self.get_u64("hbe-hashes")? {
-                    hp.hashes = k as usize; // CAST: hash counts are tiny
-                }
-                if let Some(w) = self.get_f64("hbe-bucket-width")? {
-                    hp.bucket_width = w;
-                }
-                if let Some(m) = self.get_u64("hbe-samples")? {
-                    hp.samples = m as usize; // CAST: sample counts are tiny
-                }
-                Ok(BackendSpec::Hbe(hp))
-            }
-            other => Err(invalid_param(
-                "backend",
-                format!("expected tree|hbe, got `{other}`"),
-            )),
-        }
     }
 }
 
@@ -356,53 +305,22 @@ mod tests {
 
     #[test]
     fn backend_flags() {
-        let f = Flags::parse(&argv(&[]), COMMON_FLAGS).unwrap();
-        assert!(matches!(f.params().unwrap().backend, BackendSpec::Tree));
-
-        let f = Flags::parse(
-            &argv(&[
-                "--backend",
-                "hbe",
-                "--hbe-tables",
-                "16",
-                "--hbe-samples",
-                "4",
-            ]),
-            COMMON_FLAGS,
-        )
-        .unwrap();
-        match f.params().unwrap().backend {
-            BackendSpec::Hbe(hp) => {
-                assert_eq!(hp.tables, 16);
-                assert_eq!(hp.samples, 4);
-                assert_eq!(hp.hashes, HbeParams::default().hashes);
-            }
-            other => panic!("expected hbe, got {other:?}"),
+        // The tree is the only backend: the removed backends' selector
+        // and tuning flags are unknown flags, whatever their value.
+        for args in [
+            ["--backend", "hbe"],
+            ["--backend", "tree"],
+            ["--hbe-tables", "8"],
+            ["--rff-features", "512"],
+        ] {
+            let err = Flags::parse(&argv(&args), COMMON_FLAGS)
+                .unwrap_err()
+                .to_string();
+            assert!(
+                err.contains(&format!("unknown flag `{}`", args[0])),
+                "{err}"
+            );
         }
-
-        // The removed rff backend is an unknown choice, and its tuning
-        // flag an unknown flag.
-        let f = Flags::parse(&argv(&["--backend", "rff"]), COMMON_FLAGS).unwrap();
-        let err = f.params().unwrap_err().to_string();
-        assert!(err.contains("expected tree|hbe, got `rff`"), "{err}");
-        let err = Flags::parse(&argv(&["--rff-features", "512"]), COMMON_FLAGS)
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("unknown flag `--rff-features`"), "{err}");
-    }
-
-    #[test]
-    fn backend_flags_reject_mismatches() {
-        // Unknown backend name.
-        let f = Flags::parse(&argv(&["--backend", "exact"]), COMMON_FLAGS).unwrap();
-        assert!(f.params().is_err());
-        // HBE tuning flag without the HBE backend.
-        let f = Flags::parse(&argv(&["--hbe-tables", "8"]), COMMON_FLAGS).unwrap();
-        let err = f.params().unwrap_err().to_string();
-        assert!(
-            err.contains("`--hbe-tables` requires `--backend hbe`"),
-            "{err}"
-        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The quantile `z_p` feeds the order-statistic confidence intervals of the
 //! threshold bootstrap (Eq. 11 of the paper), so its accuracy directly
-//! determines the validity of the probabilistic bounds on `t(p)`.
+//! determines the validity of the `1 − δ` confidence bounds on `t(p)`.
 
 /// Error function `erf(x)`, accurate to ~1e-14 relative error.
 ///

@@ -5,28 +5,20 @@
 //! threshold estimate `t̃(p)`, and (for `d ≤ 4`) builds the grid cache.
 //! `classify` then answers HIGH/LOW per query via the pruned traversal,
 //! with the grid short-circuiting obvious inliers before any tree work.
-//!
-//! The classifier core is backend-agnostic: the certified single-tree
-//! traversal above is the default [`crate::backend::TreeBackend`], but
-//! `Params::backend` can route density queries through the hashing-based
-//! estimator instead (see [`crate::backend`]). The estimated backend
-//! skips the bootstrap — its fixed per-query budget gains nothing from
-//! threshold pruning — and computes `t̃(p)` from a direct
-//! training-density pass.
 
-use crate::backend::{BackendImpl, BoundKind, HbeBackend, TreeBackend};
 use crate::bound::DensityBounds;
 use crate::engine::{Pool, PoolTelemetry};
-use crate::params::{BackendSpec, Params};
+use crate::params::Params;
 use crate::qstats::{PruneCause, QueryScratch, QueryStats};
 use crate::span::Spans;
 use crate::threshold::{bootstrap, BootstrapReport, ThresholdBounds};
 use crate::trace::Tracer;
-use tkdc_common::error::{invalid_param, Error, Result};
+use crate::tree::TreeBackend;
+use tkdc_common::error::{Error, Result};
 use tkdc_common::order::quantile_in_place;
 use tkdc_common::Matrix;
 use tkdc_index::{BandwidthGrid, KdTree, MAX_GRID_DIM};
-use tkdc_kernel::{scotts_rule, scotts_rule_from_stds, Kernel};
+use tkdc_kernel::{scotts_rule_from_stds, Kernel};
 use tkdc_sync::Arc;
 
 /// Re-export so callers can reference the grid dimensionality cap without
@@ -137,13 +129,13 @@ impl From<ExecPolicy> for Ctx {
 /// Summary of the training phase.
 #[derive(Debug, Clone)]
 pub struct FitReport {
-    /// Probabilistic bounds produced by the bootstrap.
+    /// The bootstrap's `1 − δ` confidence bounds on `t(p)`.
     pub threshold_bounds: ThresholdBounds,
     /// Refined threshold estimate `t̃(p)` (the p-quantile of training
     /// densities).
     pub threshold: f64,
-    /// Bootstrap diagnostics (empty for estimated backends, which skip
-    /// the bootstrap).
+    /// Bootstrap diagnostics (empty for weighted fits, which skip the
+    /// bootstrap, and for loaded models).
     pub bootstrap: BootstrapReport,
     /// Traversal statistics of the training-density pass.
     pub training_stats: QueryStats,
@@ -164,8 +156,9 @@ struct Model {
     /// interval is widened by `coreset_eps · K(0)` and straddling queries
     /// classify as [`Label::Unknown`].
     coreset_eps: f64,
-    /// The fitted density-estimation backend every query routes through.
-    backend: BackendImpl,
+    /// The fitted tree, kernel and grid cache every query routes
+    /// through.
+    backend: Arc<TreeBackend>,
 }
 
 /// A fitted tKDC model.
@@ -216,13 +209,8 @@ impl Classifier {
     /// in index order, and the seeded RNG is only consumed by
     /// (sequential) subset sampling.
     ///
-    /// `params.backend` selects the estimator: [`BackendSpec::Tree`]
-    /// (default) runs the paper's bootstrap + certified traversal;
-    /// [`BackendSpec::Hbe`] skips the bootstrap and takes the threshold
-    /// directly from the estimated training densities.
-    ///
     /// A recording `ctx.obs` gets one `fit.*` span per phase (bootstrap,
-    /// index/sketch build, training-density threshold pass); the fit's
+    /// index build, training-density threshold pass); the fit's
     /// internal density passes trace no queries.
     ///
     /// # Errors
@@ -234,15 +222,12 @@ impl Classifier {
             return Err(Error::EmptyInput("training data"));
         }
         let pool = Pool::new();
-        let (model, fit_report) = match params.backend {
-            BackendSpec::Tree => Self::fit_tree(&pool, data, params, &ctx)?,
-            BackendSpec::Hbe(_) => Self::fit_estimated(&pool, data, None, 0.0, params, &ctx)?,
-        };
+        let (model, fit_report) = Self::fit_tree(&pool, data, params, &ctx)?;
         Ok(Self::from_model(model, fit_report, pool))
     }
 
-    /// The tree-backend fit: threshold bootstrap (Algorithm 3), grid
-    /// cache around the bootstrap's full-data index, and the pruned
+    /// The unweighted fit: threshold bootstrap (Algorithm 3), grid cache
+    /// around the bootstrap's full-data index, and the pruned
     /// training-density pass. Inputs are pre-validated by
     /// [`Self::fit_with`].
     fn fit_tree(
@@ -251,7 +236,7 @@ impl Classifier {
         params: &Params,
         ctx: &Ctx,
     ) -> Result<(Model, FitReport)> {
-        // Phase 1: probabilistic threshold bounds (Algorithm 3). Its
+        // Phase 1: 1 − δ confidence threshold bounds (Algorithm 3). Its
         // final round trains on all of `data` with the model's leaf
         // size, split rule and bandwidth, so its tree and kernel are the
         // model's index and kernel.
@@ -362,74 +347,9 @@ impl Classifier {
             params: params.clone(),
             threshold,
             coreset_eps: 0.0,
-            backend: BackendImpl::Tree(tb),
+            backend: tb,
         };
         Ok((model, fit_report))
-    }
-
-    /// The estimated-backend fit (HBE): build the sketch, estimate
-    /// every training density at the backend's fixed budget, and take
-    /// `t̃(p)` as the (weighted) p-quantile of the corrected estimates.
-    /// No bootstrap runs — threshold pruning cannot speed up a
-    /// fixed-budget estimator, so bootstrap bounds would be dead weight.
-    /// Inputs other than the weights are pre-validated by the caller.
-    fn fit_estimated(
-        pool: &Pool,
-        data: &Matrix,
-        weights: Option<&[f64]>,
-        coreset_eps: f64,
-        params: &Params,
-        ctx: &Ctx,
-    ) -> Result<(Model, FitReport)> {
-        // fit_with / fit_weighted_with route Tree elsewhere.
-        let BackendSpec::Hbe(hp) = params.backend else {
-            return Err(invalid_param(
-                "backend",
-                "the tree backend does not take the estimated fit path",
-            ));
-        };
-        if let Some(ws) = weights {
-            // The tree path catches bad weights in the weighted tree
-            // build; the sketch build folds weights silently, so check
-            // here instead.
-            if ws.iter().any(|w| !w.is_finite() || *w <= 0.0) {
-                return Err(Error::Numeric(
-                    "point weights must be finite and positive".into(),
-                ));
-            }
-        }
-        let w_total = match weights {
-            Some(ws) => ws.iter().sum::<f64>(),
-            None => data.rows() as f64,
-        };
-
-        // Bandwidths exactly as the corresponding tree fit would choose
-        // them, so backends answer about the *same* KDE.
-        let h = match weights {
-            None => scotts_rule(data, params.bandwidth_factor)?,
-            Some(ws) => {
-                let stds = tkdc_common::stats::column_stds_weighted(data, ws);
-                let eff_n = (w_total.round() as usize).max(1); // CAST: total mass is a point count far below 2^53
-                scotts_rule_from_stds(&stds, eff_n, params.bandwidth_factor)?
-            }
-        };
-        let kernel = Kernel::new(params.kernel, h)?;
-
-        let build_span = ctx.obs.enter("fit.backend_build");
-        let hb = Arc::new(HbeBackend::build(
-            data.clone(),
-            weights.map(|ws| ws.to_vec()),
-            kernel,
-            params.delta,
-            hp,
-            params.seed,
-        ));
-        drop(build_span);
-        let _threshold_span = ctx.obs.enter("fit.threshold");
-
-        // The training-density pass walks the rows the sketch keeps.
-        let backend = BackendImpl::Hbe(Arc::clone(&hb));
-        fit_relative(pool, ctx.policy, params, backend, hb, w_total, coreset_eps)
     }
 
     /// Trains a classifier on a *weighted* dataset — typically a coreset
@@ -500,18 +420,12 @@ impl Classifier {
             )));
         }
         let pool = Pool::new();
-        let (model, fit_report) = match params.backend {
-            BackendSpec::Tree => {
-                Self::fit_weighted_tree(&pool, data, weights, coreset_eps, params, &ctx)?
-            }
-            BackendSpec::Hbe(_) => {
-                Self::fit_estimated(&pool, data, Some(weights), coreset_eps, params, &ctx)?
-            }
-        };
+        let (model, fit_report) =
+            Self::fit_weighted_tree(&pool, data, weights, coreset_eps, params, &ctx)?;
         Ok(Self::from_model(model, fit_report, pool))
     }
 
-    /// The tree-backend weighted fit. Inputs are pre-validated by
+    /// The weighted fit. Inputs are pre-validated by
     /// [`Self::fit_weighted_with`].
     fn fit_weighted_tree(
         pool: &Pool,
@@ -540,35 +454,26 @@ impl Classifier {
         let eff_n = (w_total.round() as usize).max(1); // CAST: total mass is a point count far below 2^53
         let h = scotts_rule_from_stds(&stds, eff_n, params.bandwidth_factor)?;
         let kernel = Kernel::new(params.kernel, h)?;
-        let backend = BackendImpl::Tree(Arc::new(TreeBackend::new(
-            Arc::clone(&tree),
+        let tb = Arc::new(TreeBackend::new(
+            tree,
             kernel,
             None,
             params.opts,
             params.epsilon,
-        )));
+        ));
 
         drop(build_span);
         let _threshold_span = ctx.obs.enter("fit.threshold");
 
-        fit_relative(
-            pool,
-            ctx.policy,
-            params,
-            backend,
-            tree,
-            w_total,
-            coreset_eps,
-        )
+        fit_relative(pool, ctx.policy, params, tb, coreset_eps)
     }
 
-    /// Reassembles a tree-backend classifier from persisted parts (see
-    /// `tkdc::model_io`). Training diagnostics are not persisted and load
-    /// back empty.
+    /// Reassembles a classifier from persisted parts (see
+    /// `tkdc::model_io`).
     ///
     /// # Errors
     /// Fails when the parts are mutually inconsistent (dimensionality,
-    /// grid cell count, backend spec) or the parameters are invalid.
+    /// grid cell count) or the parameters are invalid.
     pub(crate) fn from_loaded_parts(
         params: Params,
         tree: KdTree,
@@ -579,18 +484,20 @@ impl Classifier {
         coreset_eps: f64,
     ) -> Result<Self> {
         params.validate()?;
-        if !matches!(params.backend, BackendSpec::Tree) {
-            return Err(Error::Numeric(
-                "loaded tree model carries a non-tree backend spec".into(),
-            ));
-        }
         if kernel.dim() != tree.dim() {
             return Err(Error::DimensionMismatch {
                 expected: tree.dim(),
                 actual: kernel.dim(),
             });
         }
-        Self::check_loaded_threshold(threshold, coreset_eps)?;
+        if !threshold.is_finite() || threshold < 0.0 {
+            return Err(Error::Numeric("loaded threshold is not a density".into()));
+        }
+        if !coreset_eps.is_finite() || coreset_eps < 0.0 {
+            return Err(Error::Numeric(
+                "loaded coreset epsilon is not a valid error bound".into(),
+            ));
+        }
         // The grid's u32 cell counts ignore point masses and its fast
         // path certifies against the coreset, not the full data — a
         // weighted or ε-folded model must never carry one.
@@ -610,104 +517,14 @@ impl Classifier {
                 });
             }
         }
-        let backend = BackendImpl::Tree(Arc::new(TreeBackend::new(
+        let backend = Arc::new(TreeBackend::new(
             Arc::new(tree),
             kernel,
             grid,
             params.opts,
             params.epsilon,
-        )));
-        Ok(Self::from_loaded_backend(
-            params,
-            backend,
-            threshold,
-            threshold_bounds,
-            coreset_eps,
-        ))
-    }
-
-    /// Reassembles an HBE-backend classifier from persisted parts: the
-    /// hash tables are rebuilt deterministically from the model seed, so
-    /// only points, weights and parameters persist.
-    ///
-    /// # Errors
-    /// Fails when the parts are mutually inconsistent or invalid.
-    pub(crate) fn from_loaded_hbe(
-        params: Params,
-        kernel: Kernel,
-        points: Matrix,
-        weights: Option<Vec<f64>>,
-        threshold: f64,
-        threshold_bounds: ThresholdBounds,
-        coreset_eps: f64,
-    ) -> Result<Self> {
-        params.validate()?;
-        let BackendSpec::Hbe(hp) = params.backend else {
-            return Err(Error::Numeric(
-                "loaded hbe model carries a non-hbe backend spec".into(),
-            ));
-        };
-        if points.rows() == 0 {
-            return Err(Error::EmptyInput("loaded training points"));
-        }
-        if kernel.dim() != points.cols() {
-            return Err(Error::DimensionMismatch {
-                expected: points.cols(),
-                actual: kernel.dim(),
-            });
-        }
-        if let Some(ws) = &weights {
-            if ws.len() != points.rows() {
-                return Err(Error::DimensionMismatch {
-                    expected: points.rows(),
-                    actual: ws.len(),
-                });
-            }
-            if ws.iter().any(|w| !w.is_finite() || *w <= 0.0) {
-                return Err(Error::Numeric(
-                    "loaded point weights must be finite and positive".into(),
-                ));
-            }
-        }
-        Self::check_loaded_threshold(threshold, coreset_eps)?;
-        let backend = BackendImpl::Hbe(Arc::new(HbeBackend::build(
-            points,
-            weights,
-            kernel,
-            params.delta,
-            hp,
-            params.seed,
-        )));
-        Ok(Self::from_loaded_backend(
-            params,
-            backend,
-            threshold,
-            threshold_bounds,
-            coreset_eps,
-        ))
-    }
-
-    /// Shared threshold/ε sanity checks for every load path.
-    fn check_loaded_threshold(threshold: f64, coreset_eps: f64) -> Result<()> {
-        if !threshold.is_finite() || threshold < 0.0 {
-            return Err(Error::Numeric("loaded threshold is not a density".into()));
-        }
-        if !coreset_eps.is_finite() || coreset_eps < 0.0 {
-            return Err(Error::Numeric(
-                "loaded coreset epsilon is not a valid error bound".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Final assembly for the load paths: empty diagnostics, fresh pool.
-    fn from_loaded_backend(
-        params: Params,
-        backend: BackendImpl,
-        threshold: f64,
-        threshold_bounds: ThresholdBounds,
-        coreset_eps: f64,
-    ) -> Self {
+        ));
+        // Training diagnostics are not persisted: they load back empty.
         let fit_report = FitReport {
             threshold_bounds,
             threshold,
@@ -715,7 +532,7 @@ impl Classifier {
             training_stats: QueryStats::default(),
             threshold_reestimates: 0,
         };
-        Self::from_model(
+        Ok(Self::from_model(
             Model {
                 params,
                 threshold,
@@ -724,17 +541,12 @@ impl Classifier {
             },
             fit_report,
             Pool::new(),
-        )
+        ))
     }
 
-    /// Serialized form of the grid cache, if active (model persistence;
-    /// tree backend only).
+    /// Serialized form of the grid cache, if active (model persistence).
     pub fn grid_raw(&self) -> Option<tkdc_index::GridRaw> {
-        self.model
-            .backend
-            .as_tree()
-            .and_then(|tb| tb.grid())
-            .map(|g| g.to_raw_parts())
+        self.model.backend.grid().map(|g| g.to_raw_parts())
     }
 
     /// The refined threshold estimate `t̃(p)`.
@@ -761,31 +573,24 @@ impl Classifier {
 
     /// The kernel (with its fitted bandwidths).
     pub fn kernel(&self) -> &Kernel {
-        self.model.backend.as_dyn().kernel()
+        self.model.backend.kernel()
     }
 
-    /// The spatial index, when the tree backend is active; `None` for
-    /// the estimated backends, which hold no tree.
+    /// The spatial index. Always `Some`: every model is a tree model.
+    /// The `Option` is kept so existing callers that `.expect` on it
+    /// (the benchmark harness among them) compile unchanged.
     pub fn tree(&self) -> Option<&KdTree> {
-        self.model.backend.as_tree().map(|tb| tb.tree())
+        Some(self.kd_tree())
+    }
+
+    /// The spatial index (model persistence).
+    pub(crate) fn kd_tree(&self) -> &KdTree {
+        self.model.backend.tree()
     }
 
     /// Dimensionality of the training data.
     pub fn dim(&self) -> usize {
-        self.model.backend.as_dyn().dim()
-    }
-
-    /// Stable lowercase name of the active backend
-    /// (`"tree"`, `"hbe"`).
-    pub fn backend_name(&self) -> &'static str {
-        self.model.backend.as_dyn().name()
-    }
-
-    /// Provenance of the density intervals the active backend produces:
-    /// [`BoundKind::Certified`] for the tree, probabilistic for the
-    /// estimators.
-    pub fn bound_kind(&self) -> BoundKind {
-        self.model.backend.as_dyn().bound_kind()
+        self.kd_tree().dim()
     }
 
     /// Training diagnostics.
@@ -802,23 +607,14 @@ impl Classifier {
         self.pool.telemetry()
     }
 
-    /// Whether the grid cache is active (tree backend only).
+    /// Whether the grid cache is active.
     pub fn grid_enabled(&self) -> bool {
-        self.model
-            .backend
-            .as_tree()
-            .is_some_and(|tb| tb.grid().is_some())
+        self.model.backend.grid().is_some()
     }
 
     /// Number of training points.
     pub fn n_train(&self) -> usize {
-        self.model.backend.as_dyn().n_train()
-    }
-
-    /// The active backend as the shipped enum (model persistence needs
-    /// the concrete payloads, not the trait surface).
-    pub(crate) fn backend_impl(&self) -> &BackendImpl {
-        &self.model.backend
+        self.kd_tree().len()
     }
 }
 
@@ -826,11 +622,11 @@ impl Model {
     /// The absolute density error the ε-fold widens certified intervals
     /// by: `coreset_eps · K(0)`. Zero for full-data fits.
     fn coreset_eps_abs(&self) -> f64 {
-        self.coreset_eps * self.backend.as_dyn().kernel().max_value()
+        self.coreset_eps * self.backend.kernel().max_value()
     }
 
     fn check_dim(&self, x: &[f64]) -> Result<()> {
-        let dim = self.backend.as_dyn().dim();
+        let dim = self.backend.tree().dim();
         if x.len() != dim {
             return Err(Error::DimensionMismatch {
                 expected: dim,
@@ -853,10 +649,7 @@ impl Model {
             // ε-folded path: the traversal stops once this three-way
             // label is decided.
             let ea = self.coreset_eps_abs();
-            let b = self
-                .backend
-                .as_dyn()
-                .bound_density_folded(x, t, ea, scratch);
+            let b = self.backend.bound_density_folded(x, t, ea, scratch);
             return Ok(if b.lower > t {
                 Label::High
             } else if b.upper < t {
@@ -865,27 +658,19 @@ impl Model {
                 Label::Unknown
             });
         }
-        // Grid fast path (tree backend only): same-cell mass already
-        // proves HIGH.
-        if let Some(tb) = self.backend.as_tree() {
-            if let Some(cell_lower) = {
-                // The probe computes one density lower bound; account for
-                // it so merged statistics reflect the true work mix (a
-                // grid-pruned query is cheap, not free).
-                let probe = tb.grid_lower(x);
-                if probe.is_some() {
-                    scratch.stats.bound_evals += 1;
+        // Grid fast path: same-cell mass already proves HIGH.
+        if let Some(cell_lower) = self.backend.grid_lower(x) {
+            // The probe computes one density lower bound; account for it
+            // so merged statistics reflect the true work mix (a
+            // grid-pruned query is cheap, not free).
+            scratch.stats.bound_evals += 1;
+            if cell_lower > t * (1.0 + self.params.epsilon) {
+                scratch.stats.record_outcome(PruneCause::Grid);
+                if scratch.tracer.is_active() {
+                    let stats = scratch.stats;
+                    scratch.tracer.finish_grid(t, stats, cell_lower);
                 }
-                probe
-            } {
-                if cell_lower > t * (1.0 + self.params.epsilon) {
-                    scratch.stats.record_outcome(PruneCause::Grid);
-                    if scratch.tracer.is_active() {
-                        let stats = scratch.stats;
-                        scratch.tracer.finish_grid(t, stats, cell_lower);
-                    }
-                    return Ok(Label::High);
-                }
+                return Ok(Label::High);
             }
         }
         let b = self.bound_density_with(x, scratch)?;
@@ -905,7 +690,6 @@ impl Model {
         let t_hi = self.threshold + ea;
         Ok(self
             .backend
-            .as_dyn()
             .bound_density(x, t_lo, t_hi, scratch)
             .folded(ea))
     }
@@ -920,7 +704,6 @@ impl Model {
         self.check_dim(x)?;
         Ok(self
             .backend
-            .as_dyn()
             .bound_density_relative(x, rtol, 0.0, scratch)
             .folded(self.coreset_eps_abs()))
     }
@@ -929,7 +712,7 @@ impl Model {
     fn exact_density(&self, x: &[f64]) -> Result<f64> {
         self.check_dim(x)?;
         let mut scratch = QueryScratch::new();
-        Ok(self.backend.as_dyn().exact_density(x, &mut scratch))
+        Ok(self.backend.exact_density(x, &mut scratch))
     }
 }
 
@@ -945,14 +728,10 @@ impl Classifier {
     /// certified label from a coreset model holds against the *full*
     /// dataset, never flipping a label the full-data model certifies.
     /// That traversal
-    /// ([`crate::backend::DensityBackend::bound_density_folded`]) stops
+    /// ([`crate::bound::DensityBounder::bound_density_folded`]) stops
     /// as soon as the three-way label is decided, including a `straddle`
     /// stop once neither HIGH nor LOW is reachable; the label equals the
     /// folded label of [`Self::bound_density_with`] for less work.
-    ///
-    /// Under an estimated backend (HBE) the interval — and therefore
-    /// the label — is probabilistic: correct with probability `1 − δ`
-    /// per query (see [`Classifier::bound_kind`]).
     pub fn classify_with(&self, x: &[f64], scratch: &mut QueryScratch) -> Result<Label> {
         self.model.classify_with(x, scratch)
     }
@@ -972,8 +751,6 @@ impl Classifier {
     /// interval is widened by `ε_abs = coreset_eps·K(0)` on each side
     /// (lower clamped at zero), so it certifies the *full-data* density,
     /// not just the coreset's. Full-data models are unaffected.
-    /// Estimated backends ignore the thresholds and return their
-    /// fixed-budget `1 − δ` confidence interval.
     ///
     /// This keeps Algorithm 2's stop even for coreset models, where
     /// [`Self::classify_with`] stops earlier: callers of this method
@@ -993,8 +770,7 @@ impl Classifier {
     /// p-value-style reporting) rather than a classification. For
     /// coreset-backed models the returned interval is additionally
     /// widened by `±coreset_eps·K(0)` so it certifies the full-data
-    /// density. Estimated backends return their fixed-budget interval
-    /// regardless of `rtol`.
+    /// density.
     pub fn bound_density_relative_with(
         &self,
         x: &[f64],
@@ -1195,76 +971,45 @@ where
     Ok((out, stats))
 }
 
-/// Training rows a relative-precision fit pass walks, in their storage
-/// order, with the matching weights (`None` = unit weights).
-trait TrainingRows: Send + Sync + 'static {
-    fn row(&self, i: usize) -> &[f64];
-    fn weights(&self) -> Option<&[f64]>;
-}
-
-/// The weighted tree's own rows, in its reordered storage order.
-impl TrainingRows for KdTree {
-    fn row(&self, i: usize) -> &[f64] {
-        self.point(i)
-    }
-    fn weights(&self) -> Option<&[f64]> {
-        KdTree::weights(self)
-    }
-}
-
-/// The rows HBE keeps for its estimates, in input order.
-impl TrainingRows for HbeBackend {
-    fn row(&self, i: usize) -> &[f64] {
-        self.points().row(i)
-    }
-    fn weights(&self) -> Option<&[f64]> {
-        HbeBackend::weights(self)
-    }
-}
-
-/// The rest of the weighted and estimated fits once their backend is
-/// built. Every training row's density corrected by the row's own mass
+/// The rest of the weighted fit once its weighted tree is built. Every
+/// training row's density corrected by the row's own mass
 /// share `f₀ = w_i·K(0)/W` (Eq. 1 generalized to weighted points), at
 /// relative precision ε on that corrected density
 /// (`f_u − f_l ≤ ε·(f_l − f₀)`) — no bootstrap bounds exist to prune
 /// against, and none are needed at coreset scale. `t̃(p)` is the
-/// p-quantile of those densities, weighted when `rows` carries weights:
-/// the smallest density d with Σ{w_i : density_i ≤ d} ≥ p·W, which for
-/// unit weights is the rank-⌈np⌉ order statistic. Neither quantile
-/// depends on row order (the weighted one adds the weights of bit-equal
-/// densities in storage order, which can only change rounding), so
-/// `rows` may be stored in any order.
-fn fit_relative<R: TrainingRows>(
+/// weighted p-quantile of those densities: the smallest density d with
+/// Σ{w_i : density_i ≤ d} ≥ p·W, which for unit weights is the
+/// rank-⌈np⌉ order statistic. The quantile does not depend on row order
+/// (it adds the weights of bit-equal densities in storage order, which
+/// can only change rounding), so the pass walks the tree's reordered
+/// rows.
+fn fit_relative(
     pool: &Pool,
     policy: ExecPolicy,
     params: &Params,
-    backend: BackendImpl,
-    rows: Arc<R>,
-    w_total: f64,
+    backend: Arc<TreeBackend>,
     coreset_eps: f64,
 ) -> Result<(Model, FitReport)> {
     let eps = params.epsilon;
-    let k0 = backend.as_dyn().kernel().max_value();
-    let n = backend.as_dyn().n_train();
-    let (b, r) = (backend.clone(), Arc::clone(&rows));
+    let k0 = backend.kernel().max_value();
+    let n = backend.tree().len();
+    let w_total = backend.tree().total_mass();
+    let b = Arc::clone(&backend);
     let (mut densities, training_stats) =
         drive_batch(pool, n, &Ctx::from(policy), move |i, scratch| {
-            let self_i = r.weights().map_or(1.0, |ws| ws[i]) * k0 / w_total;
-            let bd = b
-                .as_dyn()
-                .bound_density_relative(r.row(i), eps, self_i, scratch);
+            let tree = b.tree();
+            let self_i = tree.weights().map_or(1.0, |ws| ws[i]) * k0 / w_total;
+            let bd = b.bound_density_relative(tree.point(i), eps, self_i, scratch);
             Ok((bd.midpoint() - self_i).max(0.0))
         })?;
-    let threshold = match rows.weights() {
+    let threshold = match backend.tree().weights() {
         Some(ws) => weighted_quantile(&densities, ws, params.p)?,
         None => quantile_in_place(&mut densities, params.p)?,
     };
 
     // ε-folding: the pass certifies the weighted KDE, and the full-data
     // KDE lives within ±coreset_eps·K(0) of it, so the stored bounds
-    // widen by that on top of the usual ±ε·t tolerance slack. (For the
-    // estimated backends the per-query probabilistic interval is what
-    // actually certifies, with probability 1 − δ, at classify time.)
+    // widen by that on top of the usual ±ε·t tolerance slack.
     let threshold_bounds = ThresholdBounds {
         lower: threshold * (1.0 - params.epsilon),
         upper: threshold * (1.0 + params.epsilon),
@@ -1328,7 +1073,7 @@ fn weighted_quantile(values: &[f64], weights: &[f64], p: f64) -> Result<f64> {
 #[allow(clippy::float_cmp)] // exact-value asserts are deliberate in tests
 mod tests {
     use super::*;
-    use crate::params::{HbeParams, Optimizations};
+    use crate::params::Optimizations;
     use tkdc_common::Rng;
 
     fn gaussian_blob(n: usize, d: usize, seed: u64) -> Matrix {
@@ -1342,10 +1087,6 @@ mod tests {
             m.push_row(&row).unwrap();
         }
         m
-    }
-
-    fn hbe_params() -> Params {
-        Params::default().with_backend(BackendSpec::Hbe(HbeParams::default()))
     }
 
     #[test]
@@ -1792,64 +1533,8 @@ mod tests {
     fn tree_backend_identity_via_accessors() {
         let data = gaussian_blob(800, 2, 211);
         let clf = Classifier::fit(&data, &Params::default()).unwrap();
-        assert_eq!(clf.backend_name(), "tree");
-        assert!(clf.bound_kind().is_certified());
         assert_eq!(clf.dim(), 2);
         assert!(clf.tree().is_some());
         assert_eq!(clf.n_train(), 800);
-    }
-
-    #[test]
-    fn hbe_backend_classifies_center_and_tail() {
-        let data = gaussian_blob(2000, 2, 223);
-        let clf = Classifier::fit(&data, &hbe_params()).unwrap();
-        assert_eq!(clf.backend_name(), "hbe");
-        assert!(!clf.bound_kind().is_certified());
-        assert!(clf.tree().is_none(), "hbe holds no spatial index");
-        assert!(!clf.grid_enabled());
-        assert!(clf.threshold() > 0.0);
-        assert_eq!(clf.classify(&[0.0, 0.0]).unwrap(), Label::High);
-        assert_eq!(clf.classify(&[8.0, 8.0]).unwrap(), Label::Low);
-        // HBE retains its points, so exact densities stay available.
-        assert!(clf.exact_density(&[0.0, 0.0]).unwrap() > 0.0);
-    }
-
-    #[test]
-    fn estimated_backends_are_thread_invariant() {
-        let data = gaussian_blob(1200, 3, 229);
-        let params = hbe_params();
-        let serial = Classifier::fit(&data, &params).unwrap();
-        let queries = gaussian_blob(300, 3, 233);
-        let (s_labels, s_stats) = serial
-            .classify_batch_with(&queries, ExecPolicy::Serial)
-            .unwrap();
-        for threads in [2, 4, 8] {
-            let par =
-                Classifier::fit_with(&data, &params, ExecPolicy::with_threads(threads)).unwrap();
-            assert_eq!(serial.threshold(), par.threshold(), "threads={threads}");
-            let (p_labels, p_stats) = serial
-                .classify_batch_with(&queries, ExecPolicy::with_threads(threads))
-                .unwrap();
-            assert_eq!(s_labels, p_labels, "threads={threads}");
-            assert_eq!(s_stats, p_stats, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn estimated_weighted_fit_folds_eps() {
-        let data = gaussian_blob(1000, 2, 239);
-        let weights = vec![1.0; data.rows()];
-        let clf = Classifier::fit_weighted(&data, &weights, 0.05, &hbe_params()).unwrap();
-        assert_eq!(clf.backend_name(), "hbe");
-        assert!(clf.coreset_eps_abs() > 0.0);
-        // ε-folded probabilistic intervals straddle more readily; the
-        // label set just has to stay within the three-valued contract.
-        let mut scratch = QueryScratch::new();
-        let l = clf.classify_with(&[0.0, 0.0], &mut scratch).unwrap();
-        assert!(matches!(l, Label::High | Label::Unknown));
-        // Bad weights are rejected on the estimated path too.
-        assert!(
-            Classifier::fit_weighted(&data, &vec![0.0; data.rows()], 0.0, &hbe_params()).is_err()
-        );
     }
 }

@@ -63,7 +63,6 @@
 //! * [`span`] — the [`Spans`] handle: stage spans over fit phases and
 //!   batch execution plus the sampled query records, into one sink.
 
-pub mod backend;
 pub mod bound;
 pub mod classifier;
 pub mod engine;
@@ -74,11 +73,11 @@ pub mod qstats;
 pub mod span;
 pub mod threshold;
 pub mod trace;
+mod tree;
 
-pub use backend::{BoundKind, DensityBackend, HbeBackend, TreeBackend};
 pub use classifier::{Classifier, Ctx, ExecPolicy, Label};
 pub use llr::{llr_bounds, llr_bounds_with_rtol, LlrBounds};
-pub use params::{BackendSpec, BootstrapParams, HbeParams, Optimizations, Params};
+pub use params::{BootstrapParams, Optimizations, Params};
 pub use qstats::{PruneCause, QueryScratch, QueryStats};
 pub use span::{Spans, TraceRecord};
 pub use threshold::ThresholdBounds;

@@ -19,16 +19,14 @@
 //! version-1 files still load (with unit weights and ε = 0).
 //!
 //! Version-3 files insert a one-byte backend tag right after the
-//! version field (`0` = tree, `1` = hbe). Tag 0 keeps the complete
-//! version-2 layout after the tag. Tag 1 persists the estimator's
-//! parameters plus its points and weights (hash tables rebuild
-//! deterministically from the seed). Tag 2 belonged to the removed
-//! random-Fourier-feature backend and loads to a named error; version-1/2
-//! files carry no tag and load as tree models.
+//! version field. Tag 0 (the tree) keeps the complete version-2 layout
+//! after the tag; it is the only tag this build writes. Tags 1 and 2
+//! belonged to removed backends (the hashing-based estimator and
+//! random Fourier features) and load to named errors; version-1/2 files
+//! carry no tag and load as tree models.
 
-use crate::backend::BackendImpl;
 use crate::classifier::Classifier;
-use crate::params::{BackendSpec, BootstrapParams, HbeParams, Optimizations, Params};
+use crate::params::{BootstrapParams, Optimizations, Params};
 use crate::threshold::ThresholdBounds;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -40,6 +38,12 @@ const MAGIC: &[u8; 4] = b"TKDC";
 const VERSION: u32 = 3;
 /// Oldest format version this build still reads.
 const MIN_VERSION: u32 = 1;
+/// Version-3 backend tag of the tree model, the only one this build
+/// writes.
+const TREE_BACKEND_TAG: u8 = 0;
+/// Version-3 backend tag of the removed hashing-based estimator;
+/// reserved so such files fail with a named error.
+const HBE_BACKEND_TAG: u8 = 1;
 /// Version-3 backend tag of the removed random-Fourier-feature backend;
 /// reserved so such files fail with a named error.
 const RFF_BACKEND_TAG: u8 = 2;
@@ -135,11 +139,7 @@ pub fn save_model_to(clf: &Classifier, writer: impl Write) -> Result<()> {
     let mut w = Enc(BufWriter::new(writer));
     w.0.write_all(MAGIC)?;
     w.u32(VERSION)?;
-    let backend = clf.backend_impl();
-    w.byte(match backend {
-        BackendImpl::Tree(_) => 0,
-        BackendImpl::Hbe(_) => 1,
-    })?;
+    w.byte(TREE_BACKEND_TAG)?;
 
     // Parameters.
     let p = clf.params();
@@ -167,17 +167,6 @@ pub fn save_model_to(clf: &Classifier, writer: impl Write) -> Result<()> {
     w.f64(p.bootstrap.buffer)?;
     w.u64(p.bootstrap.max_retries as u64)?; // CAST: usize -> u64 is lossless
 
-    // Backend-specific parameters (nothing for the tree).
-    match &p.backend {
-        BackendSpec::Tree => {}
-        BackendSpec::Hbe(hp) => {
-            w.u64(hp.tables as u64)?; // CAST: usize -> u64 is lossless
-            w.u64(hp.hashes as u64)?; // CAST: usize -> u64 is lossless
-            w.f64(hp.bucket_width)?;
-            w.u64(hp.samples as u64)?; // CAST: usize -> u64 is lossless
-        }
-    }
-
     // Threshold.
     w.f64(clf.threshold())?;
     let b = clf.fit_report().threshold_bounds;
@@ -187,67 +176,46 @@ pub fn save_model_to(clf: &Classifier, writer: impl Write) -> Result<()> {
     // Kernel bandwidths (kind already encoded in params).
     w.f64s(clf.kernel().bandwidths())?;
 
-    match backend {
-        BackendImpl::Tree(tb) => {
-            // Tree.
-            let raw = tb.tree().to_raw_parts();
-            w.u64(raw.dim as u64)?; // CAST: usize -> u64 is lossless
-            w.u64(raw.leaf_size as u64)?; // CAST: usize -> u64 is lossless
-            w.f64s(&raw.points)?;
-            w.u64(raw.nodes.len() as u64)?; // CAST: usize -> u64 is lossless
-            for t in &raw.nodes {
-                for &v in t {
-                    w.u32(v)?;
-                }
-            }
-            w.f64s(&raw.node_lo)?;
-            w.f64s(&raw.node_hi)?;
-
-            // Grid (optional).
-            match clf.grid_raw() {
-                None => w.byte(0)?,
-                Some(g) => {
-                    w.byte(1)?;
-                    w.f64s(&g.cell)?;
-                    w.u64(g.n_points as u64)?; // CAST: usize -> u64 is lossless
-                    w.u64(g.entries.len() as u64)?; // CAST: usize -> u64 is lossless
-                    for &(k, c) in &g.entries {
-                        w.u128(k)?;
-                        w.u32(c)?;
-                    }
-                }
-            }
-            // Weighted tail (format v2): weights + coreset ε, appended
-            // after the complete v1 layout so every earlier field keeps
-            // its byte offset.
-            match tb.tree().weights() {
-                None => w.byte(0)?,
-                Some(ws) => {
-                    w.byte(1)?;
-                    w.f64s(ws)?;
-                }
-            }
-            w.f64(clf.coreset_eps())?;
-        }
-        BackendImpl::Hbe(hb) => {
-            // Points row-major; the hash tables rebuild deterministically
-            // from the model seed on load, so they are not persisted.
-            let pts = hb.points();
-            w.u64(pts.rows() as u64)?; // CAST: usize -> u64 is lossless
-            w.u64(pts.cols() as u64)?; // CAST: usize -> u64 is lossless
-            for &v in pts.as_slice() {
-                w.f64(v)?;
-            }
-            match hb.weights() {
-                None => w.byte(0)?,
-                Some(ws) => {
-                    w.byte(1)?;
-                    w.f64s(ws)?;
-                }
-            }
-            w.f64(clf.coreset_eps())?;
+    // Tree.
+    let tree = clf.kd_tree();
+    let raw = tree.to_raw_parts();
+    w.u64(raw.dim as u64)?; // CAST: usize -> u64 is lossless
+    w.u64(raw.leaf_size as u64)?; // CAST: usize -> u64 is lossless
+    w.f64s(&raw.points)?;
+    w.u64(raw.nodes.len() as u64)?; // CAST: usize -> u64 is lossless
+    for t in &raw.nodes {
+        for &v in t {
+            w.u32(v)?;
         }
     }
+    w.f64s(&raw.node_lo)?;
+    w.f64s(&raw.node_hi)?;
+
+    // Grid (optional).
+    match clf.grid_raw() {
+        None => w.byte(0)?,
+        Some(g) => {
+            w.byte(1)?;
+            w.f64s(&g.cell)?;
+            w.u64(g.n_points as u64)?; // CAST: usize -> u64 is lossless
+            w.u64(g.entries.len() as u64)?; // CAST: usize -> u64 is lossless
+            for &(k, c) in &g.entries {
+                w.u128(k)?;
+                w.u32(c)?;
+            }
+        }
+    }
+    // Weighted tail (format v2): weights + coreset ε, appended
+    // after the complete v1 layout so every earlier field keeps
+    // its byte offset.
+    match tree.weights() {
+        None => w.byte(0)?,
+        Some(ws) => {
+            w.byte(1)?;
+            w.f64s(ws)?;
+        }
+    }
+    w.f64(clf.coreset_eps())?;
 
     w.0.flush()?;
     Ok(())
@@ -275,15 +243,25 @@ pub fn load_model_from(reader: impl Read) -> Result<Classifier> {
              {MIN_VERSION} through {VERSION}); re-save the model with a matching tkdc release"
         )));
     }
-    // Backend tag (format v3); earlier versions predate the trait and
-    // are always tree models.
-    let backend_tag = if version >= 3 { r.byte()? } else { 0 };
+    // Backend tag (format v3); earlier versions predate it and are
+    // always tree models.
+    let backend_tag = if version >= 3 {
+        r.byte()?
+    } else {
+        TREE_BACKEND_TAG
+    };
     match backend_tag {
-        0 | 1 => {}
+        TREE_BACKEND_TAG => {}
+        HBE_BACKEND_TAG => {
+            return Err(format_error(
+                "hbe backend removed: this model was trained with the hashing-based estimator, \
+                 which this build no longer supports; retrain it with `tkdc train`",
+            ))
+        }
         RFF_BACKEND_TAG => {
             return Err(format_error(
                 "rff backend removed: this model was trained with the random-Fourier-feature \
-                 backend, which this build no longer supports; retrain it with `--backend tree|hbe`",
+                 backend, which this build no longer supports; retrain it with `tkdc train`",
             ))
         }
         other => return Err(format_error(format!("unknown backend tag {other}"))),
@@ -317,16 +295,6 @@ pub fn load_model_from(reader: impl Read) -> Result<Classifier> {
         buffer: r.f64()?,
         max_retries: r.u64()? as usize, // CAST: u64 -> usize is lossless on 64-bit targets
     };
-    let backend_spec = if backend_tag == 1 {
-        BackendSpec::Hbe(HbeParams {
-            tables: r.u64()? as usize, // CAST: u64 -> usize is lossless on 64-bit targets
-            hashes: r.u64()? as usize, // CAST: u64 -> usize is lossless on 64-bit targets
-            bucket_width: r.f64()?,
-            samples: r.u64()? as usize, // CAST: u64 -> usize is lossless on 64-bit targets
-        })
-    } else {
-        BackendSpec::Tree
-    };
     let params = Params {
         p,
         epsilon,
@@ -337,7 +305,6 @@ pub fn load_model_from(reader: impl Read) -> Result<Classifier> {
         opts,
         bootstrap,
         seed,
-        backend: backend_spec,
     };
     params.validate()?;
 
@@ -352,10 +319,6 @@ pub fn load_model_from(reader: impl Read) -> Result<Classifier> {
 
     let bandwidths = r.f64s()?;
     let kernel = Kernel::new(kernel_kind, bandwidths)?;
-
-    if backend_tag == 1 {
-        return load_hbe_payload(&mut r, params, kernel, threshold, bounds);
-    }
 
     let dim = r.u64()? as usize; // CAST: u64 -> usize is lossless on 64-bit targets
     let tree_leaf = r.u64()? as usize; // CAST: u64 -> usize is lossless on 64-bit targets
@@ -434,46 +397,6 @@ pub fn load_model_from(reader: impl Read) -> Result<Classifier> {
     }
 
     Classifier::from_loaded_parts(params, tree, kernel, grid, threshold, bounds, coreset_eps)
-}
-
-/// HBE payload: points (row-major), optional weights, coreset ε.
-fn load_hbe_payload(
-    r: &mut Dec<impl Read>,
-    params: Params,
-    kernel: Kernel,
-    threshold: f64,
-    bounds: ThresholdBounds,
-) -> Result<Classifier> {
-    let rows = r.len_checked()?;
-    let cols = r.len_checked()?;
-    let total = rows
-        .checked_mul(cols)
-        .ok_or_else(|| format_error("implausible point matrix shape"))?;
-    if total > (1 << 40) {
-        return Err(format_error("implausible point matrix shape"));
-    }
-    let mut data = Vec::with_capacity(total);
-    for _ in 0..total {
-        data.push(r.f64()?);
-    }
-    let points = tkdc_common::Matrix::from_vec(data, rows, cols)?;
-    let weights = match r.byte()? {
-        0 => None,
-        1 => Some(r.f64s()?),
-        other => {
-            return Err(format_error(format!("bad weighted flag {other}")));
-        }
-    };
-    let coreset_eps = r.f64()?;
-    Classifier::from_loaded_hbe(
-        params,
-        kernel,
-        points,
-        weights,
-        threshold,
-        bounds,
-        coreset_eps,
-    )
 }
 
 /// Loads a classifier from a file.
@@ -678,58 +601,6 @@ mod tests {
             *b = 0xFF;
         }
         assert!(load_model_from(buf2.as_slice()).is_err());
-    }
-
-    #[test]
-    fn hbe_round_trip_is_bit_identical() {
-        use crate::classifier::ExecPolicy;
-        use crate::params::{BackendSpec, HbeParams};
-        let data = blob(800, 3, 5050);
-        let params = Params::default()
-            .with_seed(7)
-            .with_backend(BackendSpec::Hbe(HbeParams::default()));
-        let clf = Classifier::fit(&data, &params).unwrap();
-        let mut buf = Vec::new();
-        save_model_to(&clf, &mut buf).unwrap();
-        let loaded = load_model_from(buf.as_slice()).unwrap();
-
-        assert_eq!(loaded.backend_name(), "hbe");
-        assert_eq!(loaded.threshold().to_bits(), clf.threshold().to_bits());
-        assert_eq!(loaded.n_train(), clf.n_train());
-        assert_eq!(loaded.params().backend, clf.params().backend);
-        assert!(loaded.tree().is_none());
-        // Per-query determinism + seed-rebuilt tables ⇒ identical labels
-        // and identical merged statistics.
-        let queries = blob(200, 3, 5151);
-        let (a, sa) = clf
-            .classify_batch_with(&queries, ExecPolicy::Serial)
-            .unwrap();
-        let (b, sb) = loaded
-            .classify_batch_with(&queries, ExecPolicy::Serial)
-            .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(sa, sb);
-    }
-
-    #[test]
-    fn hbe_weighted_round_trip_preserves_weights() {
-        use crate::params::{BackendSpec, HbeParams};
-        let data = blob(400, 2, 5252);
-        let mut rng = Rng::seed_from(13);
-        let weights: Vec<f64> = (0..data.rows()).map(|_| 1.0 + rng.next_f64()).collect();
-        let params = Params::default().with_backend(BackendSpec::Hbe(HbeParams::default()));
-        let clf = Classifier::fit_weighted(&data, &weights, 1e-3, &params).unwrap();
-        let mut buf = Vec::new();
-        save_model_to(&clf, &mut buf).unwrap();
-        let loaded = load_model_from(buf.as_slice()).unwrap();
-        assert_eq!(loaded.coreset_eps().to_bits(), clf.coreset_eps().to_bits());
-        assert_eq!(loaded.threshold().to_bits(), clf.threshold().to_bits());
-        let mut s1 = crate::qstats::QueryScratch::new();
-        let mut s2 = crate::qstats::QueryScratch::new();
-        let b1 = clf.bound_density_with(&[0.0, 0.0], &mut s1).unwrap();
-        let b2 = loaded.bound_density_with(&[0.0, 0.0], &mut s2).unwrap();
-        assert_eq!(b1.lower.to_bits(), b2.lower.to_bits());
-        assert_eq!(b1.upper.to_bits(), b2.upper.to_bits());
     }
 
     #[test]

@@ -1,96 +1,8 @@
-//! Task parameters (paper Table 1), optimization toggles, and the
-//! estimator-backend selection.
+//! Task parameters (paper Table 1) and optimization toggles.
 
 use tkdc_common::error::{invalid_param, Result};
 use tkdc_index::SplitRule;
 use tkdc_kernel::KernelKind;
-
-/// Configuration of the hashing-based estimator backend
-/// (Charikar–Siminelakis E2LSH importance sampling).
-///
-/// The estimator's per-query budget is `tables · samples` kernel
-/// evaluations plus `tables · hashes` hash projections; its variance
-/// shrinks with both `tables` and `samples`. `bucket_width` is expressed
-/// in *scaled* space (coordinates divided by the per-dimension
-/// bandwidths), so a width of a few units captures kernel-relevant
-/// neighbors regardless of the raw data scale.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HbeParams {
-    /// Number of independent hash tables `T` (one unbiased density
-    /// estimate per table). Default 32.
-    pub tables: usize,
-    /// Concatenated hashes per table `k` — bucket collision probability
-    /// is `p₁(c)^k`. Default 2.
-    pub hashes: usize,
-    /// Projection bucket width `w` in scaled space. Default 4.
-    pub bucket_width: f64,
-    /// Points sampled per table from the query's bucket. Default 8.
-    pub samples: usize,
-}
-
-impl Default for HbeParams {
-    fn default() -> Self {
-        Self {
-            tables: 32,
-            hashes: 2,
-            bucket_width: 4.0,
-            samples: 8,
-        }
-    }
-}
-
-impl HbeParams {
-    fn validate(&self) -> Result<()> {
-        if self.tables < 2 {
-            // The confidence interval needs a sample variance across
-            // table estimates.
-            return Err(invalid_param("hbe.tables", "must be at least 2"));
-        }
-        if self.hashes == 0 || self.hashes > 16 {
-            return Err(invalid_param("hbe.hashes", "must be in 1..=16"));
-        }
-        if !self.bucket_width.is_finite() || self.bucket_width <= 0.0 {
-            return Err(invalid_param(
-                "hbe.bucket_width",
-                "must be positive and finite",
-            ));
-        }
-        if self.samples == 0 {
-            return Err(invalid_param("hbe.samples", "must be positive"));
-        }
-        Ok(())
-    }
-}
-
-/// Which density-estimation backend the classifier routes queries
-/// through (see `tkdc::backend`).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum BackendSpec {
-    /// The paper's certified-bounds single-tree traversal (Algorithm 2;
-    /// the default).
-    #[default]
-    Tree,
-    /// Hashing-based estimator: probabilistic bounds, wins at high `d`.
-    Hbe(HbeParams),
-}
-
-impl BackendSpec {
-    /// Stable lowercase backend name (CLI `--backend` values, serve
-    /// stats, bench JSON).
-    pub fn name(&self) -> &'static str {
-        match self {
-            BackendSpec::Tree => "tree",
-            BackendSpec::Hbe(_) => "hbe",
-        }
-    }
-
-    fn validate(&self) -> Result<()> {
-        match self {
-            BackendSpec::Tree => Ok(()),
-            BackendSpec::Hbe(p) => p.validate(),
-        }
-    }
-}
 
 /// Toggles for tKDC's individual optimizations, supporting the paper's
 /// cumulative factor analysis (Fig. 12) and lesion analysis (Fig. 16).
@@ -267,11 +179,8 @@ pub struct Params {
     pub opts: Optimizations,
     /// Bootstrap constants.
     pub bootstrap: BootstrapParams,
-    /// Seed for the bootstrap's sampling (and, for the randomized
-    /// backends, hash/feature generation).
+    /// Seed for the bootstrap's sampling.
     pub seed: u64,
-    /// Density-estimation backend the classifier routes through.
-    pub backend: BackendSpec,
 }
 
 impl Default for Params {
@@ -286,7 +195,6 @@ impl Default for Params {
             opts: Optimizations::all(),
             bootstrap: BootstrapParams::default(),
             seed: 0xF1D0,
-            backend: BackendSpec::Tree,
         }
     }
 }
@@ -321,7 +229,6 @@ impl Params {
         if self.leaf_size == 0 {
             return Err(invalid_param("leaf_size", "must be positive"));
         }
-        self.backend.validate()?;
         self.bootstrap.validate()
     }
 
@@ -387,13 +294,6 @@ impl Params {
         self.seed = seed;
         self
     }
-
-    /// Builder-style setter for the estimator backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: BackendSpec) -> Self {
-        self.backend = backend;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -444,26 +344,6 @@ mod tests {
         let mut p = Params::default();
         p.bootstrap.growth = 1.0;
         assert!(p.validate().is_err());
-    }
-
-    #[test]
-    fn backend_spec_validation() {
-        assert_eq!(Params::default().backend, BackendSpec::Tree);
-        assert_eq!(BackendSpec::default().name(), "tree");
-        let hbe = Params::default().with_backend(BackendSpec::Hbe(HbeParams::default()));
-        assert!(hbe.validate().is_ok());
-        assert_eq!(hbe.backend.name(), "hbe");
-        // The CI needs a variance across tables: one table is invalid.
-        let bad = Params::default().with_backend(BackendSpec::Hbe(HbeParams {
-            tables: 1,
-            ..HbeParams::default()
-        }));
-        assert!(bad.validate().is_err());
-        let bad = Params::default().with_backend(BackendSpec::Hbe(HbeParams {
-            bucket_width: 0.0,
-            ..HbeParams::default()
-        }));
-        assert!(bad.validate().is_err());
     }
 
     #[test]

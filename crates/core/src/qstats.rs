@@ -21,9 +21,6 @@ pub enum PruneCause {
     Exhausted,
     /// The grid cache classified the point before any traversal.
     Grid,
-    /// A randomized backend (HBE) answered with a fixed-budget
-    /// probabilistic estimate — the bounds are *not* certified.
-    Estimated,
     /// The ε-folded (coreset) interval straddles the threshold and can
     /// no longer resolve to HIGH or LOW: the query is UNKNOWN.
     Straddle,
@@ -40,7 +37,6 @@ impl PruneCause {
             PruneCause::Tolerance => "tolerance",
             PruneCause::Exhausted => "exhausted",
             PruneCause::Grid => "grid",
-            PruneCause::Estimated => "estimated",
             PruneCause::Straddle => "straddle",
         }
     }
@@ -68,8 +64,6 @@ pub struct QueryStats {
     pub tolerance: u64,
     /// Queries that exhausted the index (exact densities).
     pub exhausted: u64,
-    /// Queries answered by a randomized backend's fixed-budget estimate.
-    pub estimated: u64,
     /// ε-folded queries stopped once their label was certainly UNKNOWN.
     pub straddle: u64,
 }
@@ -84,7 +78,6 @@ impl QueryStats {
             PruneCause::Tolerance => self.tolerance += 1,
             PruneCause::Exhausted => self.exhausted += 1,
             PruneCause::Grid => self.grid_prunes += 1,
-            PruneCause::Estimated => self.estimated += 1,
             PruneCause::Straddle => self.straddle += 1,
         }
     }
@@ -101,7 +94,6 @@ impl QueryStats {
         self.threshold_low += other.threshold_low;
         self.tolerance += other.tolerance;
         self.exhausted += other.exhausted;
-        self.estimated += other.estimated;
         self.straddle += other.straddle;
     }
 
@@ -110,7 +102,7 @@ impl QueryStats {
     /// through a metrics registry or a JSON renderer. Adding a field to
     /// `QueryStats` must extend this list (the merge proptest counts on
     /// it covering everything).
-    pub fn named_counters(&self) -> [(&'static str, u64); 11] {
+    pub fn named_counters(&self) -> [(&'static str, u64); 10] {
         [
             ("queries", self.queries),
             ("kernel_evals", self.kernel_evals),
@@ -121,7 +113,6 @@ impl QueryStats {
             ("threshold_low", self.threshold_low),
             ("tolerance", self.tolerance),
             ("exhausted", self.exhausted),
-            ("estimated", self.estimated),
             ("straddle", self.straddle),
         ]
     }
@@ -225,15 +216,13 @@ mod tests {
         s.record_outcome(PruneCause::Tolerance);
         s.record_outcome(PruneCause::Exhausted);
         s.record_outcome(PruneCause::Grid);
-        s.record_outcome(PruneCause::Estimated);
         s.record_outcome(PruneCause::Straddle);
-        assert_eq!(s.queries, 7);
+        assert_eq!(s.queries, 6);
         assert_eq!(s.threshold_high, 1);
         assert_eq!(s.threshold_low, 1);
         assert_eq!(s.tolerance, 1);
         assert_eq!(s.exhausted, 1);
         assert_eq!(s.grid_prunes, 1);
-        assert_eq!(s.estimated, 1);
         assert_eq!(s.straddle, 1);
     }
 
@@ -275,15 +264,14 @@ mod tests {
             threshold_low: 7,
             tolerance: 8,
             exhausted: 9,
-            estimated: 10,
-            straddle: 11,
+            straddle: 10,
         };
         let named = a.named_counters();
         let mut seen: Vec<u64> = named.iter().map(|&(_, v)| v).collect();
         seen.sort_unstable();
         assert_eq!(
             seen,
-            (1..=11).collect::<Vec<u64>>(),
+            (1..=10).collect::<Vec<u64>>(),
             "counter missing from named_counters"
         );
         let mut m = a;

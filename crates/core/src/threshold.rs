@@ -3,18 +3,18 @@
 //! Picking the quantile threshold `t(p)` requires densities, but computing
 //! densities efficiently requires threshold bounds — a chicken-and-egg
 //! problem. The bootstrap resolves it by training mini-KDEs on
-//! geometrically growing subsets `X_r ⊆ X`, using the (probabilistic)
+//! geometrically growing subsets `X_r ⊆ X`, using the (1 − δ confidence)
 //! threshold bounds derived from each round to prune density computations
 //! in the next. Order-statistic confidence intervals (Eq. 10/11) turn a
 //! sample of `s` densities into `1-δ` bounds on the population quantile;
 //! when a round's densities overflow the previous bounds, the bounds are
 //! multiplicatively backed off and the round retried.
 
-use crate::backend::TreeBackend;
 use crate::classifier::{drive_batch, Ctx, ExecPolicy};
 use crate::engine::Pool;
 use crate::params::Params;
 use crate::qstats::QueryStats;
+use crate::tree::TreeBackend;
 use tkdc_common::error::{Error, Result};
 use tkdc_common::order::quantile_ci_ranks;
 use tkdc_common::{Matrix, Rng};
@@ -22,7 +22,7 @@ use tkdc_index::KdTree;
 use tkdc_kernel::{scotts_rule, Kernel};
 use tkdc_sync::Arc;
 
-/// Probabilistic bounds on the quantile threshold `t(p)`.
+/// `1 − δ` confidence bounds on the quantile threshold `t(p)`.
 ///
 /// With probability at least `1 − δ`, `lower ≤ t(p) ≤ upper`.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -242,10 +242,10 @@ mod tests {
         reg.gauge("serve.active").set(3);
         reg.histogram("serve.latency").record_micros(10);
         let mut e = Exposition::new();
-        e.registry(&reg.snapshot(), &[("backend", "hbe".to_string())]);
+        e.registry(&reg.snapshot(), &[("backend", "tree".to_string())]);
         let doc = e.finish();
-        assert!(doc.contains("tkdc_engine_queries{backend=\"hbe\"} 1\n"));
-        assert!(doc.contains("tkdc_serve_active{backend=\"hbe\"} 3\n"));
-        assert!(doc.contains("tkdc_serve_latency_count{backend=\"hbe\"} 1\n"));
+        assert!(doc.contains("tkdc_engine_queries{backend=\"tree\"} 1\n"));
+        assert!(doc.contains("tkdc_serve_active{backend=\"tree\"} 3\n"));
+        assert!(doc.contains("tkdc_serve_latency_count{backend=\"tree\"} 1\n"));
     }
 }

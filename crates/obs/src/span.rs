@@ -51,8 +51,8 @@ use crate::trace::{json_string, QueryTrace, TRACE_SCHEMA};
 ///
 /// Taxonomy:
 /// * `fit.*` — training phases: threshold bootstrap, spatial-index
-///   build (kernel + optional grid included), the training-density
-///   threshold pass, and the sketch build of estimated backends.
+///   build (kernel + optional grid included), and the training-density
+///   threshold pass.
 /// * `classify.*` — batch query phases, shared by classification and
 ///   density-bounding batches: dispatch (setup + job publication),
 ///   per-chunk traversal on each participating thread, the accumulated
@@ -66,7 +66,6 @@ pub const STAGES: &[&str] = &[
     "classify.leaf_sum",
     "classify.reassembly",
     "classify.traversal",
-    "fit.backend_build",
     "fit.bootstrap",
     "fit.threshold",
     "fit.tree_build",

@@ -26,15 +26,11 @@
 //!   against (equal for classification queries). `null` when a bound is
 //!   not finite (e.g. the exhaustive oracle's `+inf` upper threshold).
 //! * `cause` — why the traversal stopped: `threshold_high`,
-//!   `threshold_low`, `tolerance`, `exhausted`, `grid`, `estimated` (a
-//!   fixed-budget hbe backend answered; the bounds are
-//!   probabilistic, not certified), or `straddle` (a coreset model's
-//!   ε-folded interval straddles the threshold and can no longer
-//!   resolve either way: the query is UNKNOWN).
-//! * `lower` / `upper` — the final density bounds (`upper` is `null`
-//!   for grid-pruned queries, where only a lower bound exists;
-//!   certified except for `estimated` queries, where the interval
-//!   holds with probability `1 − δ`).
+//!   `threshold_low`, `tolerance`, `exhausted`, `grid`, or `straddle`
+//!   (a coreset model's ε-folded interval straddles the threshold and
+//!   can no longer resolve either way: the query is UNKNOWN).
+//! * `lower` / `upper` — the final certified density bounds (`upper` is
+//!   `null` for grid-pruned queries, where only a lower bound exists).
 //! * `nodes_expanded` / `kernel_evals` / `bound_evals` — this query's
 //!   exact share of the engine's `QueryStats` counters, so summing a
 //!   fully-sampled stream reproduces the batch aggregate.

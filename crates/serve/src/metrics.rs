@@ -33,6 +33,13 @@ use tkdc_obs::{
 
 use crate::protocol::StatsSnapshot;
 
+/// Model provenance every `Stats` frame and Prometheus series carries:
+/// every served model is a tree model with certified bounds. The fields
+/// stay on the wire so existing clients decode them unchanged.
+pub(crate) const BACKEND: &str = "tree";
+/// See [`BACKEND`].
+pub(crate) const BOUND_KIND: &str = "certified";
+
 /// Shared, lock-free server metrics (see module docs).
 #[derive(Debug)]
 pub struct Metrics {
@@ -189,10 +196,8 @@ impl Metrics {
             window_latency_buckets: self.latency.window_buckets(),
             window_seconds: self.latency.window_seconds(),
             engine_counters: self.engine.snapshot().counters,
-            // The metrics block has no model handle; the server stamps
-            // backend provenance onto the snapshot before encoding.
-            backend: String::new(),
-            bound_kind: String::new(),
+            backend: BACKEND.to_string(),
+            bound_kind: BOUND_KIND.to_string(),
         }
     }
 }

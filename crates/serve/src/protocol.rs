@@ -194,10 +194,11 @@ pub struct StatsSnapshot {
     /// self-describing as `(name, value)` pairs so the frame layout
     /// never changes when counters are added.
     pub engine_counters: Vec<(String, u64)>,
-    /// Density-backend name of the served model (`tree` | `hbe`).
+    /// Density-backend name of the served model. Always `tree`; kept so
+    /// the frame layout and existing clients stay unchanged.
     pub backend: String,
-    /// Bound provenance of the served model's answers: `certified`
-    /// (exact interval arithmetic) or `probabilistic` (1 − δ confidence).
+    /// Bound provenance of the served model's answers. Always
+    /// `certified` (exact interval arithmetic); kept like `backend`.
     pub bound_kind: String,
 }
 
@@ -778,8 +779,8 @@ mod tests {
                 ("engine.queries".to_string(), 400),
                 ("engine.kernel_evals".to_string(), 123_456),
             ],
-            backend: "hbe".to_string(),
-            bound_kind: "probabilistic".to_string(),
+            backend: "tree".to_string(),
+            bound_kind: "certified".to_string(),
         };
         assert_eq!(
             round_trip_response(Response::Stats(snap.clone())),

@@ -62,7 +62,7 @@ use tkdc_common::error::{protocol_error, Error, Result};
 use tkdc_obs::{chrome_trace_json, complete_spans, is_jsonl_path, trace_v2_lines, Exposition};
 
 use crate::http::{MetricsHandle, MetricsServer};
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, BACKEND, BOUND_KIND};
 use crate::protocol::{read_request, write_response, ErrorCode, Request, Response};
 
 /// Slow-query threshold used when a slow log is configured without an
@@ -345,11 +345,8 @@ fn write_span_trace(shared: &Shared) -> Result<()> {
 fn prometheus_text(shared: &Shared) -> String {
     let m = &shared.metrics;
     let labels: Vec<(&str, String)> = vec![
-        ("backend", shared.classifier.backend_name().to_string()),
-        (
-            "bound_kind",
-            shared.classifier.bound_kind().as_str().to_string(),
-        ),
+        ("backend", BACKEND.to_string()),
+        ("bound_kind", BOUND_KIND.to_string()),
     ];
     let mut exp = Exposition::new();
     for (name, value) in [
@@ -682,13 +679,7 @@ fn respond(shared: &Shared, req: Request, spans: &Spans) -> (Response, bool) {
         }
         Request::Stats => {
             shared.metrics.stats_requests.inc();
-            let mut snap = shared.metrics.snapshot();
-            // Model provenance rides in the same frame as the counters,
-            // so clients can tell certified answers from probabilistic
-            // ones without a second request.
-            snap.backend = shared.classifier.backend_name().to_string();
-            snap.bound_kind = shared.classifier.bound_kind().as_str().to_string();
-            (Response::Stats(snap), false)
+            (Response::Stats(shared.metrics.snapshot()), false)
         }
         Request::Shutdown => (Response::ShutdownAck, true),
     }

@@ -1033,8 +1033,8 @@ mod tests {
     fn classify_buckets_paths() {
         let lib = classify(Path::new("crates/core/src/bound.rs"));
         assert!(lib.is_library && lib.cast_checked && !lib.is_test_code);
-        let backend = classify(Path::new("crates/core/src/backend/hbe.rs"));
-        assert!(backend.is_library && backend.cast_checked && !backend.is_test_code);
+        let tree = classify(Path::new("crates/core/src/tree.rs"));
+        assert!(tree.is_library && tree.cast_checked && !tree.is_test_code);
         let lin = classify(Path::new("crates/linalg/src/pca.rs"));
         assert!(lin.is_library && lin.cast_checked);
         let cs = classify(Path::new("crates/coreset/src/stream.rs"));
@@ -1227,14 +1227,14 @@ mod tests {
                 // newest crate-set member (`tkdc-coreset`), the
                 // persistent pool module — the workspace's densest user
                 // of L6–L9 (facade imports, Relaxed cursors, worker
-                // spawn/join lifecycles) — and the estimator backend,
-                // whose sampling loops are the densest users of L5
-                // index casts and L2 invariants.
+                // spawn/join lifecycles) — and the model-file codec,
+                // whose length fields are the densest users of L5
+                // casts in the core crate.
                 for fixture_path in [
                     "crates/core/src/golden.rs",
                     "crates/coreset/src/golden.rs",
                     "crates/core/src/engine/pool.rs",
-                    "crates/core/src/backend/hbe.rs",
+                    "crates/core/src/model_io.rs",
                     // The observability surface: span sinks and the
                     // windowed histogram (Relaxed counters under L7),
                     // and the metrics endpoint (spawn/join under L9).

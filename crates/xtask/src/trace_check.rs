@@ -250,7 +250,6 @@ const SPAN_STAGES: &[&str] = &[
     "classify.leaf_sum",
     "classify.reassembly",
     "classify.traversal",
-    "fit.backend_build",
     "fit.bootstrap",
     "fit.threshold",
     "fit.tree_build",
@@ -265,7 +264,6 @@ const CAUSES: &[&str] = &[
     "tolerance",
     "exhausted",
     "grid",
-    "estimated",
     "straddle",
 ];
 
@@ -525,9 +523,6 @@ mod tests {
         // Null bounds (grid prune, no upper) are valid.
         let grid = GOOD.replace("\"upper\":2.5e-3", "\"upper\":null");
         assert!(validate_trace_line(&grid).is_empty());
-        // The estimated backend (hbe) records the `estimated` cause.
-        let est = GOOD.replace("threshold_high", "estimated");
-        assert!(validate_trace_line(&est).is_empty());
     }
 
     #[test]
@@ -579,12 +574,17 @@ mod tests {
 
     #[test]
     fn removed_group_cause_is_rejected() {
-        // `group` named the deleted dual-tree driver's wholesale labels;
-        // no producer emits it, so a query record carrying it is invalid.
-        let group = GOOD.replace("threshold_high", "group");
-        assert!(validate_trace_line(&group)
-            .iter()
-            .any(|e| e.contains("unknown cause `group`")));
+        // `group` named the deleted dual-tree driver's wholesale labels
+        // and `estimated` the deleted hbe backend's fixed-budget answers;
+        // no producer emits either, so a query record carrying one is
+        // invalid.
+        for cause in ["group", "estimated"] {
+            let line = GOOD.replace("threshold_high", cause);
+            let needle = format!("unknown cause `{cause}`");
+            assert!(validate_trace_line(&line)
+                .iter()
+                .any(|e| e.contains(&needle)));
+        }
     }
 
     #[test]

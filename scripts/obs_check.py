@@ -33,7 +33,6 @@ STAGES = {
     "classify.leaf_sum",
     "classify.reassembly",
     "classify.traversal",
-    "fit.backend_build",
     "fit.bootstrap",
     "fit.threshold",
     "fit.tree_build",

@@ -1,4 +1,4 @@
-//! Statistical validation of the threshold bootstrap's probabilistic
+//! Statistical validation of the threshold bootstrap's confidence
 //! guarantee: with probability at least `1 − δ`, the returned bounds
 //! bracket the exact quantile threshold `t(p)` (paper §3.5–3.6).
 

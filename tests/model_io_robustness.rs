@@ -57,29 +57,37 @@ fn future_format_version_is_a_parse_error() {
     );
 }
 
-/// A v3 file whose backend tag names the removed random-Fourier-feature
-/// backend (tag 2) must fail with a named format error telling the user
-/// to retrain, whether the header stands alone or leads a full payload —
-/// never an I/O or truncation error and never a misparse.
+/// A v3 file whose backend tag names a removed backend (tag 1, the
+/// hashing-based estimator; tag 2, random Fourier features) must fail
+/// with a named format error telling the user to retrain, whether the
+/// header stands alone or leads a full payload — never an I/O or
+/// truncation error and never a misparse.
 #[test]
 fn removed_rff_backend_tag_is_a_named_error() {
-    let mut header = b"TKDC".to_vec();
-    header.extend_from_slice(&3u32.to_le_bytes());
-    header.push(2);
-    let mut full = reference_model_bytes();
-    // Layout: 4-byte magic, u32 LE version, then the v3 backend tag.
-    full[8] = 2;
-    for bytes in [header, full] {
-        let err = load_model_from(bytes.as_slice()).unwrap_err();
-        assert!(
-            matches!(err, Error::Parse { line: 0, .. }),
-            "expected Parse, got {err:?}"
-        );
-        let msg = err.to_string();
-        assert!(
-            msg.contains("rff backend removed") && msg.contains("--backend tree|hbe"),
-            "message should name the removed backend and the fix: {msg}"
-        );
+    for (tag, name) in [
+        (1u8, "hashing-based estimator"),
+        (2u8, "random-Fourier-feature"),
+    ] {
+        let mut header = b"TKDC".to_vec();
+        header.extend_from_slice(&3u32.to_le_bytes());
+        header.push(tag);
+        let mut full = reference_model_bytes();
+        // Layout: 4-byte magic, u32 LE version, then the v3 backend tag.
+        full[8] = tag;
+        for bytes in [header, full] {
+            let err = load_model_from(bytes.as_slice()).unwrap_err();
+            assert!(
+                matches!(err, Error::Parse { line: 0, .. }),
+                "expected Parse, got {err:?}"
+            );
+            let msg = err.to_string();
+            assert!(
+                msg.contains("backend removed")
+                    && msg.contains(name)
+                    && msg.contains("retrain it with `tkdc train`"),
+                "message should name the removed backend and the fix: {msg}"
+            );
+        }
     }
 }
 

@@ -274,81 +274,38 @@ fn stats_fixture() -> &'static (Classifier, Matrix) {
     })
 }
 
-/// One fitted classifier per backend plus a shared query pool for the
-/// backend-equivalence and bound-coverage properties (fitting per
-/// proptest case would dominate the runtime). δ is widened to 0.1 so
-/// the probabilistic backends' advertised miss rate is large enough to
-/// measure over a 150-query pool.
-fn backend_fixture() -> &'static (Vec<Classifier>, Matrix, Matrix) {
-    static FIXTURE: OnceLock<(Vec<Classifier>, Matrix, Matrix)> = OnceLock::new();
+/// One fitted classifier plus a shared query pool for the
+/// schedule-invariance property (fitting per proptest case would
+/// dominate the runtime).
+fn tree_fixture() -> &'static (Classifier, Matrix) {
+    static FIXTURE: OnceLock<(Classifier, Matrix)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
-        use tkdc::{BackendSpec, HbeParams};
         let mut rng = tkdc_common::Rng::seed_from(99);
         let mut data = Matrix::with_cols(2);
         for _ in 0..1200 {
             data.push_row(&[rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)])
                 .unwrap();
         }
-        let base = Params::default().with_seed(99).with_delta(0.1);
-        let clfs = [BackendSpec::Tree, BackendSpec::Hbe(HbeParams::default())]
-            .into_iter()
-            .map(|spec| Classifier::fit(&data, &base.clone().with_backend(spec)).unwrap())
-            .collect();
+        let clf = Classifier::fit(&data, &Params::default().with_seed(99)).unwrap();
         let mut queries = Matrix::with_cols(2);
         for _ in 0..150 {
             queries
                 .push_row(&[rng.normal(0.0, 1.5), rng.normal(0.0, 1.5)])
                 .unwrap();
         }
-        (clfs, data, queries)
+        (clf, queries)
     })
-}
-
-/// The probabilistic backends' interval must cover the exact density at
-/// (roughly) the advertised `1 − δ` rate. Everything is seeded, so the
-/// observed miss rate is deterministic; the cap leaves slack for the
-/// small-sample normal approximation behind the interval width.
-#[test]
-fn estimated_backend_bounds_cover_exact_density() {
-    let (clfs, data, queries) = backend_fixture();
-    for clf in &clfs[1..] {
-        let (bounds, _) = clf
-            .bound_density_batch_with(queries, ExecPolicy::Serial)
-            .unwrap();
-        let mut misses = 0usize;
-        for (i, b) in bounds.iter().enumerate() {
-            assert!(
-                b.lower <= b.upper,
-                "{}: inverted interval",
-                clf.backend_name()
-            );
-            let exact = naive_density(data, clf.kernel(), queries.row(i));
-            let slack = 1e-12 * clf.kernel().max_value();
-            if exact < b.lower - slack || exact > b.upper + slack {
-                misses += 1;
-            }
-        }
-        let miss_rate = misses as f64 / bounds.len() as f64;
-        assert!(
-            miss_rate <= 0.30,
-            "{}: exact density escaped the 1 − δ interval on {:.1}% of queries (δ = 0.1)",
-            clf.backend_name(),
-            100.0 * miss_rate
-        );
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The tree backend reached through the `DensityBackend` trait must
-    /// stay schedule-invariant: labels and merged stats are identical
-    /// for every thread count, bit for bit.
+    /// The tree model's batch path must stay schedule-invariant:
+    /// labels and merged stats are identical for every thread count,
+    /// bit for bit.
     #[test]
     fn tree_backend_via_trait_thread_invariant(threads in 1usize..=8) {
-        let (clfs, _, queries) = backend_fixture();
-        let tree = &clfs[0];
-        prop_assert_eq!(tree.backend_name(), "tree");
+        let (tree, queries) = tree_fixture();
         let (serial_labels, serial_stats) = tree
             .classify_batch_with(queries, ExecPolicy::Serial)
             .unwrap();
@@ -357,23 +314,6 @@ proptest! {
             .unwrap();
         prop_assert_eq!(&labels, &serial_labels, "labels diverged at {} threads", threads);
         prop_assert_eq!(stats, serial_stats, "stats diverged at {} threads", threads);
-    }
-
-    /// Same property for the probabilistic backends: the per-query seed
-    /// derivation makes their estimates schedule-invariant too.
-    #[test]
-    fn estimated_backends_thread_invariant(threads in 2usize..=8) {
-        let (clfs, _, queries) = backend_fixture();
-        for clf in &clfs[1..] {
-            let (serial_labels, serial_stats) = clf
-                .classify_batch_with(queries, ExecPolicy::Serial)
-                .unwrap();
-            let (labels, stats) = clf
-                .classify_batch_with(queries, ExecPolicy::Parallel { threads: Some(threads) })
-                .unwrap();
-            prop_assert_eq!(&labels, &serial_labels, "{}: labels diverged", clf.backend_name());
-            prop_assert_eq!(stats, serial_stats, "{}: stats diverged", clf.backend_name());
-        }
     }
 
     /// `QueryStats` must be an exact decomposition: splitting a batch at

@@ -105,31 +105,6 @@ fn full_round_trip_matches_local_engine() {
 }
 
 #[test]
-fn estimated_backend_serves_and_reports_provenance() {
-    let data = training_data(600, 19);
-    let params = Params::default()
-        .with_seed(19)
-        .with_backend(tkdc::BackendSpec::Hbe(tkdc::HbeParams::default()));
-    let clf = Classifier::fit(&data, &params).unwrap();
-    let queries = query_set(32, 23);
-    let (local_labels, _) = clf
-        .classify_batch_with(&queries, ExecPolicy::Serial)
-        .unwrap();
-
-    let (addr, handle) = spawn_server(ServeConfig::default(), clf);
-    let mut client = Client::connect_with_timeout(&addr, Duration::from_secs(10)).unwrap();
-    let served_labels = client.classify(&queries).unwrap();
-    assert_eq!(served_labels, local_labels);
-
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.backend, "hbe");
-    assert_eq!(stats.bound_kind, "probabilistic");
-
-    client.shutdown().unwrap();
-    handle.join().unwrap();
-}
-
-#[test]
 fn over_capacity_connection_rejected_with_protocol_error() {
     let (addr, handle) = spawn_server(
         ServeConfig {
